@@ -4,8 +4,7 @@
 //! sequential up-looking sweep vs. the level-scheduled build on the pack
 //! hierarchy, plus the batched pair — lockstep scalar CG vs block CG on a
 //! shared Krylov space over four correlated right-hand sides, on both sweep
-//! engines (the sequential one running the batched sequential split
-//! kernels).
+//! engines (the sequential one running its lane-exact batch body).
 //!
 //! Both sweep engines (and both setup engines) run bitwise-identical
 //! arithmetic, so every timed solve performs exactly the same iteration
@@ -14,10 +13,16 @@
 //! themselves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sts_core::Method;
-use sts_krylov::{Ic0, KrylovWorkspace, Pcg, Preconditioner, SpdSystem, Ssor, SweepEngine};
+use sts_core::{Method, SolveEngine};
+use sts_krylov::{Ic0, KrylovWorkspace, Pcg, Preconditioner, SpdSystem, Ssor};
 use sts_matrix::{generators, ops};
 use sts_numa::Schedule;
+
+/// The compared sweep engines and their bench labels.
+const SWEEP_ENGINES: [(SolveEngine, &str); 2] = [
+    (SolveEngine::Sequential, "seq_sweeps"),
+    (SolveEngine::Pipelined, "pipelined_sweeps"),
+];
 
 fn krylov_benchmarks(c: &mut Criterion) {
     let a = generators::grid2d_laplacian(200, 200).expect("grid dimensions are valid");
@@ -34,11 +39,7 @@ fn krylov_benchmarks(c: &mut Criterion) {
     let mut ws = KrylovWorkspace::new(n);
 
     let mut group = c.benchmark_group("pcg_200x200");
-    for engine in [SweepEngine::Sequential, SweepEngine::Pipelined] {
-        let label = match engine {
-            SweepEngine::Sequential => "seq_sweeps",
-            SweepEngine::Pipelined => "pipelined_sweeps",
-        };
+    for (engine, label) in SWEEP_ENGINES {
         let mut pre = Ssor::new(&sys, pcg.solver(), engine);
         // Warm-up outside the timer: forces the lazy split layouts.
         let warm = pcg
@@ -62,7 +63,7 @@ fn krylov_benchmarks(c: &mut Criterion) {
         );
     }
     let mut ic0 =
-        Ic0::new_parallel(&sys, pcg.solver(), SweepEngine::Pipelined).expect("laplacian is SPD");
+        Ic0::new_parallel(&sys, pcg.solver(), SolveEngine::Pipelined).expect("laplacian is SPD");
     group.bench_with_input(
         BenchmarkId::new("ic0_solve", "pipelined_sweeps"),
         &sys,
@@ -75,16 +76,12 @@ fn krylov_benchmarks(c: &mut Criterion) {
     // block driver converges in fewer iterations on a shared Krylov space,
     // at the price of small dense projections per step. Both engines'
     // batched sweeps back the SSOR pair, so the bench also exercises the
-    // sequential batched split kernels.
+    // sequential engine's lane-exact batch body.
     let nrhs = 4;
     let bb = generators::correlated_rhs_chain(&a, nrhs).expect("workload binds to the operator");
     let mut wsb = KrylovWorkspace::with_nrhs(n, nrhs);
     let mut group = c.benchmark_group("pcg_batch4_200x200");
-    for engine in [SweepEngine::Sequential, SweepEngine::Pipelined] {
-        let label = match engine {
-            SweepEngine::Sequential => "seq_sweeps",
-            SweepEngine::Pipelined => "pipelined_sweeps",
-        };
+    for (engine, label) in SWEEP_ENGINES {
         let mut pre = Ssor::new(&sys, pcg.solver(), engine);
         let warm = pcg
             .solve_batch(&sys, &mut pre, &bb, nrhs, &mut wsb)

@@ -70,10 +70,12 @@ use std::time::Instant;
 
 use serde::{Serialize, Value};
 use sts_bench::harness::{self, Machine};
-use sts_core::{Method, ParallelSolver, PrecisionPolicy, SimulatedExecutor, SolveOptions};
+use sts_core::{
+    Method, ParallelSolver, PrecisionPolicy, SimulatedExecutor, SolveEngine, SolveOptions,
+};
 use sts_krylov::{
     solve_refined, Identity, KrylovWorkspace, Pcg, Preconditioner, RefineOptions, RobustPcg,
-    SpdSystem, Ssor, SweepEngine,
+    SpdSystem, Ssor,
 };
 use sts_matrix::generators;
 use sts_serve::protocol::{float_array, obj, render, usize_array};
@@ -235,7 +237,10 @@ fn main() {
     // Host wall-clock.
     let b = vec![1.0; s.n()];
     let wall_sequential_s = time_per_solve(repeats, || s.solve_sequential(&b).unwrap());
-    let wall_sequential_split_s = time_per_solve(repeats, || s.solve_sequential_split(&b).unwrap());
+    let seq_solver = ParallelSolver::new(1, harness::paper_schedule(run.method));
+    let seq_opts = SolveOptions::default().with_engine(SolveEngine::Sequential);
+    let wall_sequential_split_s =
+        time_per_solve(repeats, || seq_solver.solve_with(s, &b, &seq_opts).unwrap());
     // Every wall_* field is a mean over `repeats` solves, comparable with
     // the wall_* series of earlier commits.
     let wall_parallel_s = harness::wallclock_seconds(&run, threads, repeats);
@@ -250,16 +255,24 @@ fn main() {
     // time). The mean-based wall_* fields above are *not* comparable with
     // these paired numbers. Measured before the batch section so the
     // multi-RHS buffers don't perturb the allocator state under it.
+    let split_opts = SolveOptions::default().with_engine(SolveEngine::Split);
+    let piped_opts = SolveOptions::default();
     let (paired_split_s, paired_piped_s) = time_pair(
         repeats,
-        || solver.solve_split(s, &b).unwrap(),
-        || solver.solve_pipelined(s, &b).unwrap(),
+        || solver.solve_with(s, &b, &split_opts).unwrap(),
+        || solver.solve_with(s, &b, &piped_opts).unwrap(),
     );
     let nrhs = 4;
     let b4 = vec![1.0; s.n() * nrhs];
-    let wall_batch4_s = time_per_solve(repeats, || solver.solve_batch(s, &b4, nrhs).unwrap());
+    let wall_batch4_s = time_per_solve(repeats, || {
+        solver
+            .solve_with(s, &b4, &split_opts.with_nrhs(nrhs))
+            .unwrap()
+    });
     let wall_batch4_piped_s = time_per_solve(repeats, || {
-        solver.solve_batch_pipelined(s, &b4, nrhs).unwrap()
+        solver
+            .solve_with(s, &b4, &piped_opts.with_nrhs(nrhs))
+            .unwrap()
     });
 
     // End-to-end Krylov workload: SSOR-PCG with pipelined sweeps on the same
@@ -267,7 +280,7 @@ fn main() {
     // time is the best of a few solves (scheduler noise only adds time).
     let sys = SpdSystem::build(&a, Method::Sts3, 80).expect("laplacian binds to STS-3");
     let pcg = Pcg::new(threads, harness::paper_schedule(run.method));
-    let mut pre = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+    let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
     let x_pcg: Vec<f64> = (0..sys.n())
         .map(|i| ((i * 7919) % 101) as f64 * 0.02 - 1.0)
         .collect();
@@ -435,8 +448,8 @@ fn main() {
     solver_traced.set_trace_recorder(Some(Arc::new(SpanRecorder::new(1024))));
     let (piped_plain_s, piped_traced_s) = time_pair(
         repeats,
-        || solver.solve_pipelined(s, &b).unwrap(),
-        || solver_traced.solve_pipelined(s, &b).unwrap(),
+        || solver.solve_with(s, &b, &piped_opts).unwrap(),
+        || solver_traced.solve_with(s, &b, &piped_opts).unwrap(),
     );
     let trace_overhead_ns = ((piped_traced_s - piped_plain_s) * 1e9).max(0.0);
 

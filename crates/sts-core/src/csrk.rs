@@ -18,9 +18,8 @@ use sts_graph::Permutation;
 use sts_matrix::{LowerTriangularCsr, MatrixError};
 
 use crate::builder::Ordering;
-use crate::options::SlabValue;
+use crate::options::SweepDirection;
 use crate::split::SplitLayout;
-use crate::transpose::TransposeLayout;
 
 /// Result alias for the core crate.
 pub type Result<T> = std::result::Result<T, MatrixError>;
@@ -39,31 +38,25 @@ pub struct StsStructure {
     l: LowerTriangularCsr,
     /// The reordering permutation, shared like the index arrays.
     perm: Arc<Permutation>,
-    /// The dependency-split layout, built on first use ([`StsStructure::split`]):
-    /// it roughly doubles the off-diagonal storage, so unsplit-only callers
-    /// should not pay for it.
-    split: OnceLock<SplitLayout>,
-    /// The transpose (backward-sweep) split layout, likewise built on first
-    /// use ([`StsStructure::transpose_split`]) — only the forward/backward
-    /// sweep pairs of preconditioner applications pay for it.
-    tsplit: OnceLock<TransposeLayout>,
-    /// Debug-only guard: set once the forward layout's schedule has been
-    /// statically verified ([`StsStructure::split`] runs the check on first
-    /// build under `debug_assertions`). A plain flag, not a lazily computed
-    /// value, because the verifier itself calls [`StsStructure::split`]
-    /// reentrantly. Ignored by `PartialEq` like the layout caches, and
-    /// never read in release builds (where the hook compiles out).
+    /// The dependency-split layouts, forward then transpose, each built on
+    /// first use ([`StsStructure::layout`]): a layout roughly doubles the
+    /// off-diagonal storage, so callers that never sweep a direction do not
+    /// pay for it.
+    layouts: [OnceLock<SplitLayout>; 2],
+    /// Debug-only guards, one per direction: set once that layout's
+    /// schedule has been statically verified ([`StsStructure::layout`] runs
+    /// the check on first build under `debug_assertions`). Plain flags, not
+    /// lazily computed values, because the verifier itself calls
+    /// [`StsStructure::layout`] reentrantly. Ignored by `PartialEq` like the
+    /// layout caches, and never read in release builds (where the hook
+    /// compiles out).
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    split_verified: OnceLock<()>,
-    /// Debug-only guard for the transpose layout's schedule (see
-    /// `split_verified`).
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    tsplit_verified: OnceLock<()>,
+    verified: [OnceLock<()>; 2],
 }
 
-/// Equality ignores the lazy split cache: the layout is a pure function of
+/// Equality ignores the lazy layout caches: a layout is a pure function of
 /// the other fields, so two structures that differ only in whether
-/// [`StsStructure::split`] has been called yet are still equal.
+/// [`StsStructure::layout`] has been called yet are still equal.
 impl PartialEq for StsStructure {
     fn eq(&self, other: &Self) -> bool {
         self.k == other.k
@@ -77,11 +70,11 @@ impl PartialEq for StsStructure {
 
 impl StsStructure {
     /// Assembles a structure from its parts, validating every invariant (see
-    /// [`StsStructure::validate`]). The dependency-split layout the two-phase
-    /// and pipelined kernels run on is *not* built here; it is constructed
-    /// lazily by the first [`StsStructure::split`] call (the `u32` column
-    /// limit it relies on is still checked eagerly, so the lazy build cannot
-    /// fail).
+    /// [`StsStructure::validate`]). The dependency-split layouts the sweep
+    /// kernels run on are *not* built here; each is constructed lazily by
+    /// the first [`StsStructure::layout`] call for its direction (the `u32`
+    /// column limit they rely on is still checked eagerly, so the lazy build
+    /// cannot fail).
     pub fn new(
         k: usize,
         ordering: Ordering,
@@ -120,10 +113,8 @@ impl StsStructure {
             index2,
             l,
             perm,
-            split: OnceLock::new(),
-            tsplit: OnceLock::new(),
-            split_verified: OnceLock::new(),
-            tsplit_verified: OnceLock::new(),
+            layouts: [OnceLock::new(), OnceLock::new()],
+            verified: [OnceLock::new(), OnceLock::new()],
         };
         s.validate()?;
         if s.n() > 0 && s.n() - 1 > u32::MAX as usize {
@@ -133,19 +124,6 @@ impl StsStructure {
             )));
         }
         Ok(s)
-    }
-
-    /// For every row, the first row of its pack (the boundary the split
-    /// layout classifies columns against).
-    fn pack_start_rows(&self) -> Vec<usize> {
-        let mut start = vec![0usize; self.n()];
-        for p in 0..self.num_packs() {
-            let rows = self.pack_rows(p);
-            for r in rows.clone() {
-                start[r] = rows.start;
-            }
-        }
-        start
     }
 
     /// The number of levels of sub-structuring (1 for the flat reference
@@ -261,66 +239,49 @@ impl StsStructure {
         Ok(x)
     }
 
-    /// The dependency-split layout (external/internal slabs plus readiness
-    /// metadata), built on first use. Thread-safe: concurrent first calls
-    /// race benignly inside the `OnceLock`; every caller sees the same built
-    /// layout. Callers who want the build cost out of their timed region can
-    /// force it up front with this same method.
-    pub fn split(&self) -> &SplitLayout {
-        let layout = self.split.get_or_init(|| {
-            SplitLayout::build(&self.l, &self.pack_start_rows(), &self.index3, &self.index2)
+    /// The dependency-split layout of one sweep direction
+    /// (external/internal slabs plus stage-ordered chain tasks and
+    /// readiness metadata), built on first use. Thread-safe: concurrent
+    /// first calls race benignly inside the `OnceLock`; every caller sees
+    /// the same built layout. Callers who want the build cost out of their
+    /// timed region can force it up front with this same method.
+    pub fn layout(&self, direction: SweepDirection) -> &SplitLayout {
+        let d = direction_index(direction);
+        let layout = self.layouts[d].get_or_init(|| match direction {
+            SweepDirection::Forward => SplitLayout::forward(&self.l, &self.index3, &self.index2),
+            SweepDirection::Transpose => {
+                SplitLayout::transpose(&self.l, &self.index3, &self.index2)
+            }
         });
         // Debug builds statically verify the schedule the first time the
         // layout is built. The guard must be a non-blocking `set` (first
         // caller wins, losers skip): the verifier extracts its footprints by
-        // calling `split()` again, and a `get_or_init` here would deadlock on
-        // that reentrancy.
+        // calling `layout()` again, and a `get_or_init` here would deadlock
+        // on that reentrancy.
         #[cfg(debug_assertions)]
-        if self.split_verified.set(()).is_ok() {
-            if let Err(v) =
-                self.verify_schedule_at(usize::MAX, crate::options::SweepDirection::Forward)
-            {
-                panic!("forward schedule fails static verification: {v}");
+        if self.verified[d].set(()).is_ok() {
+            if let Err(v) = self.verify_schedule_at(usize::MAX, direction) {
+                panic!(
+                    "{} schedule fails static verification: {v}",
+                    direction.as_str()
+                );
             }
-            for &threads in &crate::verify::VERIFY_THREAD_SWEEP {
-                if let Err(v) = self.verify_factor_schedule(threads) {
-                    panic!("factor schedule fails static verification: {v}");
+            if direction == SweepDirection::Forward {
+                for &threads in &crate::verify::VERIFY_THREAD_SWEEP {
+                    if let Err(v) = self.verify_factor_schedule(threads) {
+                        panic!("factor schedule fails static verification: {v}");
+                    }
                 }
             }
         }
         layout
     }
 
-    /// Whether the dependency-split layout has been built yet (diagnostic;
-    /// unsplit-only callers should keep this `false` and skip the ≈2×
-    /// off-diagonal storage cost).
-    pub fn split_built(&self) -> bool {
-        self.split.get().is_some()
-    }
-
-    /// The transpose (backward-sweep) split layout, built on first use like
-    /// [`StsStructure::split`]. See [`TransposeLayout`] for the
-    /// reverse-pack-order correctness argument the backward kernels rely on.
-    pub fn transpose_split(&self) -> &TransposeLayout {
-        let layout = self
-            .tsplit
-            .get_or_init(|| TransposeLayout::build(&self.l, &self.index3, &self.index2));
-        // Same first-build verification (and same reentrancy-safe guard) as
-        // `split()`, for the backward-sweep schedule.
-        #[cfg(debug_assertions)]
-        if self.tsplit_verified.set(()).is_ok() {
-            if let Err(v) =
-                self.verify_schedule_at(usize::MAX, crate::options::SweepDirection::Transpose)
-            {
-                panic!("transpose schedule fails static verification: {v}");
-            }
-        }
-        layout
-    }
-
-    /// Whether the transpose split layout has been built yet (diagnostic).
-    pub fn transpose_split_built(&self) -> bool {
-        self.tsplit.get().is_some()
+    /// Whether the layout of `direction` has been built yet (diagnostic;
+    /// callers that never sweep that direction should keep this `false` and
+    /// skip the ≈2× off-diagonal storage cost).
+    pub fn layout_built(&self, direction: SweepDirection) -> bool {
+        self.layouts[direction_index(direction)].get().is_some()
     }
 
     /// Rebuilds this structure around a different operand that shares the
@@ -361,472 +322,6 @@ impl StsStructure {
         Arc::ptr_eq(&self.index3, &other.index3)
             && Arc::ptr_eq(&self.index2, &other.index2)
             && Arc::ptr_eq(&self.perm, &other.perm)
-    }
-
-    /// Solves `L' x' = b'` sequentially on the dependency-split layout.
-    ///
-    /// Produces the same iteration order as [`StsStructure::solve_sequential`]
-    /// pack by pack, but walks each pack in two phases: first the external
-    /// gather `x[i] = b[i] − Σ L_ext·x` over all rows of the pack (inputs are
-    /// final, any order works), then the internal substitution over the
-    /// super-rows. Floating-point sums are reassociated relative to the
-    /// unsplit kernel, so results agree to rounding (≤ 1e-12 relative), not
-    /// bitwise.
-    pub fn solve_sequential_split(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = vec![0.0; self.n()];
-        self.solve_sequential_split_into(b, &mut x)?;
-        Ok(x)
-    }
-
-    /// [`StsStructure::solve_sequential_split`] into a caller-provided
-    /// buffer: no heap allocation, so repeated solves on one structure (the
-    /// preconditioner pattern) stay allocation-free after the lazy layout
-    /// build.
-    pub fn solve_sequential_split_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
-        let split = self.split();
-        self.sequential_split_sweep_into(b, x, split.ext_vals(), split.int_vals())
-    }
-
-    /// Mixed-precision [`StsStructure::solve_sequential_split`]: loads the
-    /// demoted `f32` value slabs but accumulates in `f64` (the storage /
-    /// accumulation split of
-    /// [`PrecisionPolicy::ValuesF32WithRefinement`](crate::options::PrecisionPolicy)).
-    /// Accurate to ≈ `f32` storage rounding per sweep; drive to full
-    /// accuracy with an outer corrector.
-    pub fn solve_sequential_split_f32(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = vec![0.0; self.n()];
-        self.solve_sequential_split_f32_into(b, &mut x)?;
-        Ok(x)
-    }
-
-    /// [`StsStructure::solve_sequential_split_f32`] into a caller-provided
-    /// buffer (no heap allocation after the lazy `f32` slab build).
-    pub fn solve_sequential_split_f32_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
-        let split = self.split();
-        self.sequential_split_sweep_into(b, x, split.ext_vals_f32(), split.int_vals_f32())
-    }
-
-    /// The forward sequential split sweep, generic over the stored value
-    /// type. The `f64` instantiation is instruction-for-instruction the
-    /// pre-generic kernel (`SlabValue::to_f64` is the inlined identity), so
-    /// the engine-matrix bitwise invariants are preserved.
-    fn sequential_split_sweep_into<V: SlabValue>(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        evals: &[V],
-        ivals: &[V],
-    ) -> Result<()> {
-        if b.len() != self.n() || x.len() != self.n() {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "b and x must both have length {}, got {} and {}",
-                self.n(),
-                b.len(),
-                x.len()
-            )));
-        }
-        let split = self.split();
-        let erp = split.ext_row_ptr();
-        let ecols = split.ext_cols();
-        let irp = split.int_row_ptr();
-        let icols = split.int_cols();
-        let inv_diag = split.inv_diags();
-        for p in 0..self.num_packs() {
-            let rows = self.pack_rows(p);
-            // Phase 1: external gather with the diagonal scale folded in,
-            // `y[i] = (b[i] − Σ L_ext·x) / L[i][i]`. Rows without internal
-            // entries are already final after this sweep.
-            for i1 in rows.clone() {
-                let mut acc = 0.0;
-                for k in erp[i1]..erp[i1 + 1] {
-                    acc += evals[k].to_f64() * x[ecols[k] as usize];
-                }
-                x[i1] = (b[i1] - acc) * inv_diag[i1];
-            }
-            // Phase 2: internal substitution, visiting only the chain rows
-            // (`x[i] −= d_i · Σ L_int·x`) of the chain tasks; everything
-            // else was final after phase 1.
-            for t in 0..split.chain_super_rows(p).len() {
-                for &i1 in split.chain_rows_of(p, t) {
-                    let i1 = i1 as usize;
-                    let mut acc = 0.0;
-                    for k in irp[i1]..irp[i1 + 1] {
-                        acc += ivals[k].to_f64() * x[icols[k] as usize];
-                    }
-                    x[i1] -= acc * inv_diag[i1];
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Solves `L' X' = B'` for `nrhs` interleaved right-hand sides
-    /// (`b[i * nrhs + q]`) sequentially on the dependency-split layout, with
-    /// the index traffic of every row amortised over the batch.
-    ///
-    /// Per right-hand side this performs **exactly** the floating-point
-    /// operations of [`StsStructure::solve_sequential_split`], in the same
-    /// order — the batch dimension only reorders the *loads* of the shared
-    /// column/value slabs — so the result is bitwise identical to `nrhs`
-    /// scalar sequential split solves. That is what lets the sequential
-    /// sweep engine serve batched preconditioner applications
-    /// interchangeably with the pipelined batch kernels on single-core
-    /// hosts.
-    pub fn solve_batch_sequential_split(&self, b: &[f64], nrhs: usize) -> Result<Vec<f64>> {
-        let mut x = vec![0.0; b.len()];
-        self.solve_batch_sequential_split_into(b, &mut x, nrhs)?;
-        Ok(x)
-    }
-
-    /// [`StsStructure::solve_batch_sequential_split`] into a caller-provided
-    /// buffer: no heap allocation (the per-row accumulators live in a fixed
-    /// stack block, walked in chunks of up to [`BATCH_CHUNK`] right-hand
-    /// sides).
-    pub fn solve_batch_sequential_split_into(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-    ) -> Result<()> {
-        let split = self.split();
-        self.batch_sequential_split_sweep_into(b, x, nrhs, split.ext_vals(), split.int_vals())
-    }
-
-    /// Mixed-precision [`StsStructure::solve_batch_sequential_split_into`]:
-    /// `f32` value slabs, `f64` accumulation, lane-bitwise identical to
-    /// `nrhs` scalar [`StsStructure::solve_sequential_split_f32`] sweeps.
-    pub fn solve_batch_sequential_split_f32_into(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-    ) -> Result<()> {
-        let split = self.split();
-        self.batch_sequential_split_sweep_into(
-            b,
-            x,
-            nrhs,
-            split.ext_vals_f32(),
-            split.int_vals_f32(),
-        )
-    }
-
-    /// The forward sequential batch sweep, generic over the stored value
-    /// type (see [`StsStructure::sequential_split_sweep_into`]).
-    fn batch_sequential_split_sweep_into<V: SlabValue>(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-        evals: &[V],
-        ivals: &[V],
-    ) -> Result<()> {
-        self.check_batch_lengths(b, x, nrhs)?;
-        let split = self.split();
-        let erp = split.ext_row_ptr();
-        let ecols = split.ext_cols();
-        let irp = split.int_row_ptr();
-        let icols = split.int_cols();
-        let inv_diag = split.inv_diags();
-        for p in 0..self.num_packs() {
-            let rows = self.pack_rows(p);
-            // Phase 1: external gather with the diagonal scale folded in.
-            for i1 in rows.clone() {
-                let r = erp[i1]..erp[i1 + 1];
-                batch_row_update(
-                    Some(b),
-                    x,
-                    i1,
-                    &ecols[r.clone()],
-                    &evals[r],
-                    inv_diag[i1],
-                    nrhs,
-                );
-            }
-            // Phase 2: internal substitution over the chain rows.
-            for t in 0..split.chain_super_rows(p).len() {
-                for &i1 in split.chain_rows_of(p, t) {
-                    let i1 = i1 as usize;
-                    let r = irp[i1]..irp[i1 + 1];
-                    batch_row_update(
-                        None,
-                        x,
-                        i1,
-                        &icols[r.clone()],
-                        &ivals[r],
-                        inv_diag[i1],
-                        nrhs,
-                    );
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Solves the transposed system `L'ᵀ X' = B'` for `nrhs` interleaved
-    /// right-hand sides sequentially on the transpose split layout (packs in
-    /// reverse order, like
-    /// [`StsStructure::solve_transpose_sequential_split`]). Bitwise
-    /// identical per right-hand side to `nrhs` scalar transpose sequential
-    /// split solves, for the same reason as
-    /// [`StsStructure::solve_batch_sequential_split`].
-    pub fn solve_transpose_batch_sequential_split(
-        &self,
-        b: &[f64],
-        nrhs: usize,
-    ) -> Result<Vec<f64>> {
-        let mut x = vec![0.0; b.len()];
-        self.solve_transpose_batch_sequential_split_into(b, &mut x, nrhs)?;
-        Ok(x)
-    }
-
-    /// [`StsStructure::solve_transpose_batch_sequential_split`] into a
-    /// caller-provided buffer (no heap allocation).
-    pub fn solve_transpose_batch_sequential_split_into(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-    ) -> Result<()> {
-        let ts = self.transpose_split();
-        self.transpose_batch_sequential_split_sweep_into(b, x, nrhs, ts.ext_vals(), ts.int_vals())
-    }
-
-    /// Mixed-precision
-    /// [`StsStructure::solve_transpose_batch_sequential_split_into`]:
-    /// `f32` value slabs, `f64` accumulation.
-    pub fn solve_transpose_batch_sequential_split_f32_into(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-    ) -> Result<()> {
-        let ts = self.transpose_split();
-        self.transpose_batch_sequential_split_sweep_into(
-            b,
-            x,
-            nrhs,
-            ts.ext_vals_f32(),
-            ts.int_vals_f32(),
-        )
-    }
-
-    /// The backward sequential batch sweep, generic over the stored value
-    /// type (see [`StsStructure::sequential_split_sweep_into`]).
-    fn transpose_batch_sequential_split_sweep_into<V: SlabValue>(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        nrhs: usize,
-        evals: &[V],
-        ivals: &[V],
-    ) -> Result<()> {
-        self.check_batch_lengths(b, x, nrhs)?;
-        let ts = self.transpose_split();
-        let erp = ts.ext_row_ptr();
-        let ecols = ts.ext_cols();
-        let irp = ts.int_row_ptr();
-        let icols = ts.int_cols();
-        let inv_diag = ts.inv_diags();
-        for p in (0..self.num_packs()).rev() {
-            // Phase 1: gather from later packs, all of which are final.
-            for i1 in self.pack_rows(p) {
-                let r = erp[i1]..erp[i1 + 1];
-                batch_row_update(
-                    Some(b),
-                    x,
-                    i1,
-                    &ecols[r.clone()],
-                    &evals[r],
-                    inv_diag[i1],
-                    nrhs,
-                );
-            }
-            // Phase 2: backward chains, decreasing row order within a task.
-            for t in 0..ts.chain_super_rows(p).len() {
-                for &i1 in ts.chain_rows_of(p, t) {
-                    let i1 = i1 as usize;
-                    let r = irp[i1]..irp[i1 + 1];
-                    batch_row_update(
-                        None,
-                        x,
-                        i1,
-                        &icols[r.clone()],
-                        &ivals[r],
-                        inv_diag[i1],
-                        nrhs,
-                    );
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn check_batch_lengths(&self, b: &[f64], x: &[f64], nrhs: usize) -> Result<()> {
-        if nrhs == 0 {
-            return Err(MatrixError::DimensionMismatch(
-                "batched solves need at least one right-hand side".into(),
-            ));
-        }
-        if b.len() != self.n() * nrhs || x.len() != self.n() * nrhs {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "B and X must both have length n * nrhs = {}, got {} and {}",
-                self.n() * nrhs,
-                b.len(),
-                x.len()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Solves the transposed system `L'ᵀ x' = b'` sequentially on the
-    /// transpose split layout, walking the packs in **reverse** order (see
-    /// [`TransposeLayout`] for why that ordering is correct): per pack, an
-    /// external gather against later (already finished) packs, then the
-    /// within-super-row backward chains in decreasing row order.
-    ///
-    /// The per-row arithmetic is identical to the parallel backward kernels
-    /// regardless of thread count, so sequential- and pipelined-sweep
-    /// callers see bitwise-identical results.
-    pub fn solve_transpose_sequential_split(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = vec![0.0; self.n()];
-        self.solve_transpose_sequential_split_into(b, &mut x)?;
-        Ok(x)
-    }
-
-    /// [`StsStructure::solve_transpose_sequential_split`] into a
-    /// caller-provided buffer (no heap allocation).
-    pub fn solve_transpose_sequential_split_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
-        let ts = self.transpose_split();
-        self.transpose_sequential_split_sweep_into(b, x, ts.ext_vals(), ts.int_vals())
-    }
-
-    /// Mixed-precision [`StsStructure::solve_transpose_sequential_split`]:
-    /// `f32` value slabs, `f64` accumulation (see
-    /// [`StsStructure::solve_sequential_split_f32`]).
-    pub fn solve_transpose_sequential_split_f32(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = vec![0.0; self.n()];
-        self.solve_transpose_sequential_split_f32_into(b, &mut x)?;
-        Ok(x)
-    }
-
-    /// [`StsStructure::solve_transpose_sequential_split_f32`] into a
-    /// caller-provided buffer (no heap allocation after the lazy `f32` slab
-    /// build).
-    pub fn solve_transpose_sequential_split_f32_into(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-    ) -> Result<()> {
-        let ts = self.transpose_split();
-        self.transpose_sequential_split_sweep_into(b, x, ts.ext_vals_f32(), ts.int_vals_f32())
-    }
-
-    /// The backward sequential split sweep, generic over the stored value
-    /// type (see [`StsStructure::sequential_split_sweep_into`]).
-    fn transpose_sequential_split_sweep_into<V: SlabValue>(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        evals: &[V],
-        ivals: &[V],
-    ) -> Result<()> {
-        if b.len() != self.n() || x.len() != self.n() {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "b and x must both have length {}, got {} and {}",
-                self.n(),
-                b.len(),
-                x.len()
-            )));
-        }
-        let ts = self.transpose_split();
-        let erp = ts.ext_row_ptr();
-        let ecols = ts.ext_cols();
-        let irp = ts.int_row_ptr();
-        let icols = ts.int_cols();
-        let inv_diag = ts.inv_diags();
-        for p in (0..self.num_packs()).rev() {
-            // Phase 1: gather from later packs, all of which are final.
-            for i1 in self.pack_rows(p) {
-                let mut acc = 0.0;
-                for k in erp[i1]..erp[i1 + 1] {
-                    acc += evals[k].to_f64() * x[ecols[k] as usize];
-                }
-                x[i1] = (b[i1] - acc) * inv_diag[i1];
-            }
-            // Phase 2: backward chains, decreasing row order within a task.
-            for t in 0..ts.chain_super_rows(p).len() {
-                for &i1 in ts.chain_rows_of(p, t) {
-                    let i1 = i1 as usize;
-                    let mut acc = 0.0;
-                    for k in irp[i1]..irp[i1 + 1] {
-                        acc += ivals[k].to_f64() * x[icols[k] as usize];
-                    }
-                    x[i1] -= acc * inv_diag[i1];
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Solves `L' X' = B'` for `nrhs` right-hand sides at once on the split
-    /// layout, amortising the index traffic of every row over the batch.
-    ///
-    /// `b` holds the right-hand sides row-major (`b[i * nrhs + r]` is
-    /// component `i` of system `r`) and the solution uses the same layout.
-    pub fn solve_batch(&self, b: &[f64], nrhs: usize) -> Result<Vec<f64>> {
-        if nrhs == 0 {
-            return Err(MatrixError::DimensionMismatch(
-                "solve_batch needs at least one right-hand side".into(),
-            ));
-        }
-        if b.len() != self.n() * nrhs {
-            return Err(MatrixError::DimensionMismatch(format!(
-                "B has length {}, expected n * nrhs = {}",
-                b.len(),
-                self.n() * nrhs
-            )));
-        }
-        let mut x = vec![0.0; self.n() * nrhs];
-        let split = self.split();
-        for p in 0..self.num_packs() {
-            let rows = self.pack_rows(p);
-            for i1 in rows.clone() {
-                let (cols, vals) = split.ext_row(i1);
-                let d = split.inv_diag(i1);
-                // Every referenced column is < i1, so splitting at the row
-                // boundary separates the reads from the written row.
-                let (done, cur) = x.split_at_mut(i1 * nrhs);
-                let row = &mut cur[..nrhs];
-                row.copy_from_slice(&b[i1 * nrhs..(i1 + 1) * nrhs]);
-                for (&j, &v) in cols.iter().zip(vals) {
-                    // One (col, val) load serves all nrhs systems.
-                    let xj = &done[j as usize * nrhs..(j as usize + 1) * nrhs];
-                    for r in 0..nrhs {
-                        row[r] -= v * xj[r];
-                    }
-                }
-                for value in row.iter_mut() {
-                    *value *= d;
-                }
-            }
-            for t in 0..split.chain_super_rows(p).len() {
-                for &i1 in split.chain_rows_of(p, t) {
-                    let i1 = i1 as usize;
-                    let (cols, vals) = split.int_row(i1);
-                    let d = split.inv_diag(i1);
-                    let (done, cur) = x.split_at_mut(i1 * nrhs);
-                    let row = &mut cur[..nrhs];
-                    for (&j, &v) in cols.iter().zip(vals) {
-                        let xj = &done[j as usize * nrhs..(j as usize + 1) * nrhs];
-                        for r in 0..nrhs {
-                            row[r] -= v * d * xj[r];
-                        }
-                    }
-                }
-            }
-        }
-        Ok(x)
     }
 
     /// Solves the transposed (upper-triangular) system `L'ᵀ x' = b'`
@@ -904,51 +399,11 @@ impl StsStructure {
     }
 }
 
-/// Right-hand sides processed per stack accumulator block by the sequential
-/// batch kernels — wide enough that typical batches (4–8 RHS) stream the
-/// column/value slabs exactly once, small enough to stay in registers.
-pub const BATCH_CHUNK: usize = 8;
-
-/// One row of a sequential batched sweep, for every right-hand side, in
-/// chunks of [`BATCH_CHUNK`]: accumulates `acc[q] = Σ_k vals[k] ·
-/// x[cols[k], q]` in slab order (the *same* floating-point sequence as the
-/// scalar split kernels, so each lane is bitwise identical to a standalone
-/// solve) and then applies either the phase-1 external update
-/// `x[i, q] = (b[i, q] − acc[q]) · d` (when `b` is provided) or the phase-2
-/// chain update `x[i, q] −= acc[q] · d` (when it is not).
-#[inline]
-fn batch_row_update<V: SlabValue>(
-    b: Option<&[f64]>,
-    x: &mut [f64],
-    i1: usize,
-    cols: &[u32],
-    vals: &[V],
-    d: f64,
-    nrhs: usize,
-) {
-    let mut q0 = 0;
-    while q0 < nrhs {
-        let width = (nrhs - q0).min(BATCH_CHUNK);
-        let mut acc = [0.0f64; BATCH_CHUNK];
-        for (&j, &v) in cols.iter().zip(vals) {
-            let v = v.to_f64();
-            let xj = &x[j as usize * nrhs + q0..];
-            for (a, &xq) in acc[..width].iter_mut().zip(&xj[..width]) {
-                *a += v * xq;
-            }
-        }
-        let row = &mut x[i1 * nrhs + q0..i1 * nrhs + q0 + width];
-        if let Some(b) = b {
-            let bi = &b[i1 * nrhs + q0..];
-            for ((xv, &a), &bq) in row.iter_mut().zip(&acc[..width]).zip(bi) {
-                *xv = (bq - a) * d;
-            }
-        } else {
-            for (xv, &a) in row.iter_mut().zip(&acc[..width]) {
-                *xv -= a * d;
-            }
-        }
-        q0 += width;
+/// Index of a direction's slot in the per-direction layout caches.
+fn direction_index(direction: SweepDirection) -> usize {
+    match direction {
+        SweepDirection::Forward => 0,
+        SweepDirection::Transpose => 1,
     }
 }
 
@@ -1026,79 +481,6 @@ mod tests {
         let s = figure1_flat_structure();
         assert!(s.solve_sequential(&[1.0; 3]).is_err());
         assert!(s.solve_transpose_sequential(&[1.0; 3]).is_err());
-        assert!(s.solve_sequential_split(&[1.0; 3]).is_err());
-        assert!(s.solve_batch(&[1.0; 3], 1).is_err());
-        assert!(s.solve_batch(&[1.0; 9], 0).is_err());
-    }
-
-    #[test]
-    fn split_sequential_solve_matches_the_unsplit_kernel() {
-        let s = figure1_flat_structure();
-        let x_true: Vec<f64> = (0..9).map(|i| 1.0 + i as f64 * 0.25).collect();
-        let b = s.lower().multiply(&x_true).unwrap();
-        let x = s.solve_sequential(&b).unwrap();
-        let x_split = s.solve_sequential_split(&b).unwrap();
-        for (a, b) in x_split.iter().zip(&x) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn batch_solve_with_one_rhs_matches_the_single_solve() {
-        let s = figure1_flat_structure();
-        let b: Vec<f64> = (0..9).map(|i| 1.0 - i as f64 * 0.5).collect();
-        let x = s.solve_sequential(&b).unwrap();
-        let xb = s.solve_batch(&b, 1).unwrap();
-        for (a, b) in xb.iter().zip(&x) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn sequential_batch_kernels_are_bitwise_identical_to_per_rhs_sweeps() {
-        // The engine-matrix invariant: each lane of the sequential batch
-        // kernels runs the scalar split kernels' exact floating-point
-        // sequence, so equality is ==, not a tolerance. A width above
-        // BATCH_CHUNK exercises the chunked accumulator path too.
-        let s = figure1_flat_structure();
-        let n = s.n();
-        for nrhs in [1usize, 3, super::BATCH_CHUNK + 2] {
-            let mut bb = vec![0.0; n * nrhs];
-            for q in 0..nrhs {
-                for i in 0..n {
-                    bb[i * nrhs + q] = 1.0 + (i * 7 + q * 3) as f64 * 0.31;
-                }
-            }
-            let xb = s.solve_batch_sequential_split(&bb, nrhs).unwrap();
-            let tb = s.solve_transpose_batch_sequential_split(&bb, nrhs).unwrap();
-            for q in 0..nrhs {
-                let bq: Vec<f64> = (0..n).map(|i| bb[i * nrhs + q]).collect();
-                let xq = s.solve_sequential_split(&bq).unwrap();
-                let tq = s.solve_transpose_sequential_split(&bq).unwrap();
-                for i in 0..n {
-                    assert_eq!(
-                        xb[i * nrhs + q],
-                        xq[i],
-                        "forward lane {q} diverged at row {i}"
-                    );
-                    assert_eq!(
-                        tb[i * nrhs + q],
-                        tq[i],
-                        "backward lane {q} diverged at row {i}"
-                    );
-                }
-            }
-        }
-        // Length and nrhs validation.
-        let mut x = vec![0.0; n * 2];
-        assert!(s.solve_batch_sequential_split(&[1.0; 3], 2).is_err());
-        assert!(s
-            .solve_batch_sequential_split_into(&vec![1.0; n * 2], &mut x[..3], 2)
-            .is_err());
-        assert!(s.solve_batch_sequential_split(&[], 0).is_err());
-        assert!(s
-            .solve_transpose_batch_sequential_split(&[1.0; 3], 2)
-            .is_err());
     }
 
     #[test]
@@ -1112,21 +494,6 @@ mod tests {
         let x = s.solve_transpose_sequential(&y).unwrap();
         for (a, b) in x.iter().zip(&x_true) {
             assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn transpose_split_sequential_solve_matches_the_column_sweep() {
-        let s = figure1_flat_structure();
-        let x_true: Vec<f64> = (0..9).map(|i| 1.0 - i as f64 * 0.2).collect();
-        let b = s.lower().multiply_transpose(&x_true).unwrap();
-        let x_ref = s.solve_transpose_sequential(&b).unwrap();
-        assert!(!s.transpose_split_built());
-        let x = s.solve_transpose_sequential_split(&b).unwrap();
-        assert!(s.transpose_split_built());
-        for ((a, b), c) in x.iter().zip(&x_ref).zip(&x_true) {
-            assert!((a - b).abs() < 1e-12);
-            assert!((a - c).abs() < 1e-10);
         }
     }
 
@@ -1172,30 +539,35 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_the_lazy_split_cache() {
+    fn equality_ignores_the_lazy_layout_caches() {
         let a = figure1_flat_structure();
         let b = a.clone();
-        let _ = a.split(); // populate a's cache only
-        assert!(a.split_built() && !b.split_built());
-        assert_eq!(a, b, "the split cache is derived state, not identity");
+        let _ = a.layout(SweepDirection::Forward); // populate a's cache only
+        assert!(a.layout_built(SweepDirection::Forward));
+        assert!(!b.layout_built(SweepDirection::Forward));
+        assert_eq!(a, b, "the layout cache is derived state, not identity");
     }
 
     #[test]
-    fn split_layout_is_built_lazily_and_only_once() {
+    fn layouts_are_built_lazily_once_per_direction() {
         let s = figure1_flat_structure();
+        let built = |d| s.layout_built(d);
+        let (fwd, bwd) = (SweepDirection::Forward, SweepDirection::Transpose);
         assert!(
-            !s.split_built(),
-            "construction must not pay the split storage cost"
+            !built(fwd) && !built(bwd),
+            "construction must not pay the layout storage cost"
         );
-        // Unsplit kernels never force it.
+        // Unsplit kernels never force a layout.
         let b = vec![1.0; 9];
         let _ = s.solve_sequential(&b).unwrap();
-        assert!(!s.split_built());
-        // The first split use builds it; later calls reuse the same layout.
-        let first = s.split() as *const _;
-        assert!(s.split_built());
-        let _ = s.solve_sequential_split(&b).unwrap();
-        assert_eq!(first, s.split() as *const _);
+        let _ = s.solve_transpose_sequential(&b).unwrap();
+        assert!(!built(fwd) && !built(bwd));
+        // The first use builds one direction only; later calls reuse it.
+        let first = s.layout(fwd) as *const _;
+        assert!(built(fwd) && !built(bwd));
+        assert_eq!(first, s.layout(fwd) as *const _);
+        assert_eq!(s.layout(bwd).direction(), bwd);
+        assert!(built(bwd));
     }
 
     #[test]

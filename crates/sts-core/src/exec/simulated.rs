@@ -26,7 +26,7 @@ use serde::Serialize;
 use sts_numa::{NumaTopology, Schedule};
 
 use crate::csrk::StsStructure;
-use crate::options::PrecisionPolicy;
+use crate::options::{PrecisionPolicy, SweepDirection};
 
 /// Intra-pack scheduling policy used by the simulator (mirrors
 /// [`sts_numa::Schedule`]).
@@ -196,7 +196,7 @@ impl SimulatedExecutor {
         s: &StsStructure,
         precision: PrecisionPolicy,
     ) -> SolveBytesModel {
-        let split = s.split();
+        let split = s.layout(SweepDirection::Forward);
         let n = split.n() as u64;
         let slab_nnz = (split.ext_nnz() + split.int_nnz()) as u64;
         let usize_bytes = std::mem::size_of::<usize>() as u64;
@@ -233,8 +233,8 @@ impl SimulatedExecutor {
         }
     }
 
-    /// Simulates a full solve of `s` with the two-phase split kernel
-    /// ([`ParallelSolver::solve_split`]): per pack, a statically chunked
+    /// Simulates a full solve of `s` with the two-phase split engine
+    /// ([`SolveEngine::Split`]): per pack, a statically chunked
     /// external gather, a phase barrier, then the internal substitution under
     /// `schedule`, and the pack barrier.
     ///
@@ -247,8 +247,7 @@ impl SimulatedExecutor {
     /// more critical-path work than the extra barrier costs to win, which is
     /// exactly the trade-off the bench harnesses measure.
     ///
-    /// [`ParallelSolver::solve_split`]:
-    ///     crate::solver::parallel::ParallelSolver::solve_split
+    /// [`SolveEngine::Split`]: crate::options::SolveEngine::Split
     pub fn simulate_split(
         &self,
         s: &StsStructure,
@@ -258,7 +257,7 @@ impl SimulatedExecutor {
         let cores = cores.clamp(1, self.topology.total_cores());
         let core_ids = self.topology.compact_core_order(cores);
         let lat = &self.topology.latency;
-        let split = s.split();
+        let split = s.layout(SweepDirection::Forward);
         let n = s.n();
 
         let mut producer_core = vec![usize::MAX; n];
@@ -430,8 +429,8 @@ impl SimulatedExecutor {
         }
     }
 
-    /// Simulates a full solve of `s` with the pack-pipelined kernel
-    /// ([`ParallelSolver::solve_pipelined`]): the same per-row costs as
+    /// Simulates a full solve of `s` with the pack-pipelined engine
+    /// ([`SolveEngine::Pipelined`]): the same per-row costs as
     /// [`SimulatedExecutor::simulate_split`], but the two per-pack barriers
     /// are fused into per-pack completion flags, so the model tracks a clock
     /// per core slot and lets a slot start the phase-1 gather of pack `p`
@@ -449,8 +448,7 @@ impl SimulatedExecutor {
     /// `simulate_split`'s quantifies exactly the synchronisation the fusion
     /// removed.
     ///
-    /// [`ParallelSolver::solve_pipelined`]:
-    ///     crate::solver::parallel::ParallelSolver::solve_pipelined
+    /// [`SolveEngine::Pipelined`]: crate::options::SolveEngine::Pipelined
     pub fn simulate_pipelined(
         &self,
         s: &StsStructure,
@@ -464,7 +462,7 @@ impl SimulatedExecutor {
         let cores = cores.clamp(1, self.topology.total_cores());
         let core_ids = self.topology.compact_core_order(cores);
         let lat = &self.topology.latency;
-        let split = s.split();
+        let split = s.layout(SweepDirection::Forward);
         let n = s.n();
 
         let mut producer_core = vec![usize::MAX; n];
@@ -618,7 +616,7 @@ impl SimulatedExecutor {
         let cores = cores.clamp(1, self.topology.total_cores());
         let core_ids = self.topology.compact_core_order(cores);
         let lat = &self.topology.latency;
-        let split = s.split();
+        let split = s.layout(SweepDirection::Forward);
         let l = s.lower();
         let row_ptr = l.row_ptr();
         let n = s.n();

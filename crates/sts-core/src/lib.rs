@@ -12,26 +12,27 @@
 //!   graph) that exposes line-graph structure for cache reuse;
 //! * [`builder`] — the [`StsBuilder`] pipeline and the four named methods of
 //!   the evaluation (`CSR-LS`, `CSR-COL`, `CSR-3-LS`, `STS-3`);
-//! * [`split`] — the dependency-split CSR layout (built lazily on first
-//!   use): per pack, an *external* slab of entries referencing earlier packs
-//!   (streamed by the embarrassingly-parallel gather phase) and an
-//!   *internal* slab holding the true in-pack dependence chains, plus
-//!   per-row readiness metadata for pack pipelining;
-//! * [`transpose`] — the transpose (backward-sweep) split layout: the same
-//!   split applied to `L'ᵀ`, with the packs consumed in reverse order, so
+//! * [`split`] — the dependency-split CSR layout of either sweep direction
+//!   (built lazily on first use): per stage, an *external* slab of entries
+//!   referencing earlier stages (streamed by the embarrassingly-parallel
+//!   gather phase) and an *internal* slab holding the true in-pack
+//!   dependence chains, plus per-row readiness metadata for pack
+//!   pipelining. The transpose layout runs the packs in reverse order, so
 //!   preconditioner forward/backward sweep pairs both run on the parallel
-//!   engine;
-//! * [`solver`] — the threaded pack-parallel solver (worker pool + barriers),
-//!   its two-phase split variants (`solve_split`, `solve_batch`), the
-//!   pack-pipelined barrier-fused variants (`solve_pipelined`,
-//!   `solve_batch_pipelined`), a schedule-only level-scheduled solver
-//!   for callers who cannot reorder their system, and the level-scheduled
-//!   parallel IC(0) construction (`ParallelSolver::parallel_ic0`) that runs
-//!   the preconditioner *setup* over the same pack hierarchy and epoch-gate
-//!   readiness scheme as the solves;
+//!   engines;
+//! * [`solver`] — the threaded pack-parallel solver: one front door
+//!   ([`ParallelSolver::solve_into`], with the allocating
+//!   [`ParallelSolver::solve_with`]) over the sequential, two-phase split
+//!   and pack-pipelined barrier-fused engines, the paper's unsplit baseline
+//!   ([`ParallelSolver::solve_unsplit`]), a schedule-only level-scheduled
+//!   solver for callers who cannot reorder their system, and the
+//!   level-scheduled parallel IC(0) construction
+//!   (`ParallelSolver::parallel_ic0`) that runs the preconditioner *setup*
+//!   over the same pack hierarchy and epoch-gate readiness scheme as the
+//!   solves;
 //! * [`options`] — the typed [`SolveOptions`] request (engine × direction ×
 //!   batch width × [`PrecisionPolicy`]) consumed by
-//!   [`solver::parallel::ParallelSolver::solve_with`], and the [`SlabValue`]
+//!   [`ParallelSolver::solve_into`], and the [`SlabValue`]
 //!   abstraction behind the mixed-precision (f32-storage / f64-accumulation)
 //!   sweep kernels;
 //! * [`exec`] — the simulated NUMA executor that prices a solve on a modelled
@@ -44,8 +45,8 @@
 //!   read/write footprint and happens-before edges from the split layouts
 //!   and checks race-freedom, deadlock-freedom and write completeness via
 //!   the dependency-free `sts-verify` checker
-//!   ([`StsStructure::verify_schedule`]); re-run automatically on first
-//!   layout build under `debug_assertions`.
+//!   ([`StsStructure::verify_schedule`]); re-run automatically on each
+//!   layout's first build under `debug_assertions`.
 //!
 //! # Semantics of the reordering
 //!
@@ -70,7 +71,6 @@ pub mod pack;
 pub mod reorder;
 pub mod solver;
 pub mod split;
-pub mod transpose;
 pub mod verify;
 
 pub use builder::{Method, Ordering, StsBuilder, SuperRowSizing};
@@ -81,5 +81,4 @@ pub use exec::simulated::{
 pub use options::{PrecisionPolicy, SlabValue, SolveEngine, SolveOptions, SweepDirection};
 pub use solver::parallel::{ChaosHook, ParallelSolver, PipelinePlan};
 pub use split::SplitLayout;
-pub use transpose::TransposeLayout;
 pub use verify::{factor_spec, solve_spec};

@@ -1,15 +1,13 @@
 //! Typed solve options: the one place engine, direction, batch width, and
 //! numeric precision are selected.
 //!
-//! [`ParallelSolver`](crate::solver::parallel::ParallelSolver) grew its entry
-//! points one at a time — engine (sequential / parallel / split / pipelined)
-//! × direction (forward / transpose) × single / batch — until callers had a
-//! 12-way method matrix to navigate and no way to thread a *new* axis (like
-//! precision) through it. [`SolveOptions`] collapses the matrix into one
-//! typed request consumed by
-//! [`ParallelSolver::solve_with`](crate::solver::parallel::ParallelSolver::solve_with);
-//! the named entries remain as thin delegating wrappers with bitwise
-//! identical behavior.
+//! A sweep is engine (sequential / split / pipelined) × direction
+//! (forward / transpose) × batch width × value-slab precision, and every
+//! combination has a kernel. [`SolveOptions`] carries all four axes as one
+//! typed request, consumed by the single front door
+//! [`ParallelSolver::solve_into`](crate::solver::parallel::ParallelSolver::solve_into)
+//! (and its allocating wrapper
+//! [`ParallelSolver::solve_with`](crate::solver::parallel::ParallelSolver::solve_with)).
 //!
 //! # Precision
 //!
@@ -60,18 +58,17 @@ impl PrecisionPolicy {
     }
 }
 
-/// Which solve engine runs the sweep.
+/// Which orchestrator runs a sweep on the split layout. All three run the
+/// same per-row arithmetic in the same order, so single-RHS results are
+/// bitwise identical across engines (see the solver module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SolveEngine {
-    /// Single-threaded two-phase sweep on the split layout
-    /// ([`StsStructure`](crate::csrk::StsStructure)'s sequential split
-    /// kernels).
+    /// Single-threaded two-phase sweep on the calling thread, no pool
+    /// involvement. Its batches run a lane-exact body: each right-hand side
+    /// is bitwise its own single-RHS sweep.
     Sequential,
-    /// The pack-parallel kernel on the *unsplit* CSR operand (one barrier
-    /// per pack). Forward, single right-hand side, `f64` only.
-    Parallel,
     /// The two-phase split kernel (external gather, phase barrier, internal
-    /// chains).
+    /// chains) on the solver's pool.
     Split,
     /// The pack-pipelined kernel (barriers fused into an epoch gate) — the
     /// paper's best engine and the default.
@@ -84,7 +81,6 @@ impl SolveEngine {
     pub fn as_str(self) -> &'static str {
         match self {
             SolveEngine::Sequential => "sequential",
-            SolveEngine::Parallel => "parallel",
             SolveEngine::Split => "split",
             SolveEngine::Pipelined => "pipelined",
         }

@@ -63,6 +63,7 @@ use sts_trace::Phase;
 use sts_verify::TaskKind;
 
 use crate::csrk::{Result, StsStructure};
+use crate::options::SweepDirection;
 use crate::solver::parallel::{
     panic_message, pool_error_to_matrix, KernelFailure, ParallelSolver, SharedVec,
 };
@@ -150,7 +151,7 @@ impl ParallelSolver {
         // c) with per-chunk readiness in pack numbering, as in the pipelined
         // solve plans. Forcing the lazy split layout here only borrows what
         // the preconditioner sweeps build anyway.
-        let split = s.split();
+        let split = s.layout(SweepDirection::Forward);
         let num_packs = s.num_packs();
         let index2 = s.index2();
         let mut chunk_rows: Vec<std::ops::Range<usize>> = Vec::new();
@@ -422,8 +423,11 @@ mod tests {
         let w: Vec<f64> = (0..s.n()).map(|i| 1.0 - (i % 4) as f64 * 0.2).collect();
         let ftw = fs.lower().multiply_transpose(&w).unwrap();
         let r = fs.lower().multiply(&ftw).unwrap();
-        let y = fs.solve_sequential_split(&r).unwrap();
-        let z = fs.solve_transpose_sequential_split(&y).unwrap();
+        let seq = crate::options::SolveOptions::default()
+            .with_engine(crate::options::SolveEngine::Sequential);
+        let y = solver.solve_with(&fs, &r, &seq).unwrap();
+        let bwd = seq.with_direction(SweepDirection::Transpose);
+        let z = solver.solve_with(&fs, &y, &bwd).unwrap();
         for (got, want) in z.iter().zip(&w) {
             assert!((got - want).abs() < 1e-10);
         }

@@ -2,9 +2,9 @@
 //! the [`StsStructure::verify_schedule`] front door.
 //!
 //! The pack-parallel kernels are race-free only if the statically
-//! precomputed readiness metadata ([`SplitLayout::ext_dep`] and the
-//! transpose layout's reverse-stage equivalent) covers everything the tasks
-//! actually read. This module makes that checkable: it rebuilds every
+//! precomputed readiness metadata ([`SplitLayout::ext_dep`], in each
+//! direction's stage numbering) covers everything the tasks actually
+//! read. This module makes that checkable: it rebuilds every
 //! task's **exact** read/write footprint — phase-1 gather chunks (reads:
 //! external slab columns, i.e. the `x` slots of other packs; writes: the
 //! chunk's own partial rows), phase-2 chain tickets (reads: internal slab
@@ -17,8 +17,8 @@
 //! [`sts_verify`].
 //!
 //! Chunk boundaries replicate the kernels' formulas verbatim: solve chunks
-//! split a pack's rows as `rows.start + c·m/nchunks` with
-//! `nchunks = workers.min(m)` (`ParallelSolver::build_plan`), factor chunks
+//! split a stage's rows as `rows.start + c·m/nchunks` with
+//! `nchunks = workers.min(m)` (`ParallelSolver::plan`), factor chunks
 //! split a pack's super-rows the same way (`ParallelSolver::parallel_ic0`).
 //! Passing `threads = usize::MAX` therefore yields row- (super-row-)
 //! granularity chunks — the sharpest check, since coarser chunks take the
@@ -31,9 +31,9 @@
 //! [`sts_verify::replay`]) validates the footprints against both engines.
 //!
 //! Under `debug_assertions`, the first build of each lazy layout re-runs
-//! the corresponding checks ([`StsStructure::split`] /
-//! [`StsStructure::transpose_split`]), so every structure any debug test
-//! solves with is verified race- and deadlock-free at row granularity.
+//! the corresponding checks ([`StsStructure::layout`]), so every structure
+//! any debug test solves with is verified race- and deadlock-free at row
+//! granularity.
 
 use sts_verify::{
     ChainSpec, ChunkSpec, RowFootprint, ScheduleProof, ScheduleSpec, ScheduleViolation, StageSpec,
@@ -50,112 +50,57 @@ use crate::split::SplitLayout;
 pub const VERIFY_THREAD_SWEEP: [usize; 5] = [1, 2, 4, 8, usize::MAX];
 
 /// Builds the static schedule model of one pipelined solve sweep at the
-/// given worker count and direction. `threads = usize::MAX` gives
-/// row-granularity chunks (the sharpest readiness check).
+/// given worker count and direction, read off the direction's
+/// [`SplitLayout`] stage by stage. `threads = usize::MAX` gives
+/// row-granularity chunks (the sharpest readiness check). Each stage spec
+/// carries the real pack index it runs, so violations name packs, not
+/// stages.
 pub fn solve_spec(s: &StsStructure, threads: usize, direction: SweepDirection) -> ScheduleSpec {
     let workers = threads.max(1);
-    let num_packs = s.num_packs();
-    let mut stages = Vec::with_capacity(num_packs);
-    for st in 0..num_packs {
-        let stage = match direction {
-            SweepDirection::Forward => {
-                let split = s.split();
-                build_stage(
-                    st,
-                    s.pack_rows(st),
-                    workers,
-                    split.ext_row_ptr(),
-                    split.ext_cols(),
-                    split.int_row_ptr(),
-                    split.int_cols(),
-                    |rows| split.range_ext_dep(rows) as usize,
-                    split.chain_super_rows(st).len(),
-                    |t| split.chain_rows_of(st, t),
-                )
+    let layout = s.layout(direction);
+    let (erp, ecols) = (layout.ext_row_ptr(), layout.ext_cols());
+    let (irp, icols) = (layout.int_row_ptr(), layout.int_cols());
+    let footprint = |i: usize, rp: &[usize], cols: &[u32]| RowFootprint {
+        row: i,
+        reads: cols[rp[i]..rp[i + 1]].iter().map(|&j| j as usize).collect(),
+    };
+    let stages = (0..layout.num_stages())
+        .map(|st| {
+            // Phase-1 chunks: the kernels' chunking formula.
+            let rows = layout.stage_rows(st);
+            let m = rows.len();
+            let nchunks = workers.min(m);
+            let chunks = (0..nchunks)
+                .map(|c| {
+                    let chunk = rows.start + c * m / nchunks..rows.start + (c + 1) * m / nchunks;
+                    ChunkSpec {
+                        dep: layout.range_ext_dep(chunk.clone()) as usize,
+                        rows: chunk.map(|i| footprint(i, erp, ecols)).collect(),
+                        publishes: true,
+                    }
+                })
+                .collect();
+            // Phase-2 chain tickets.
+            let chains = (0..layout.chain_super_rows(st).len())
+                .map(|t| ChainSpec {
+                    claims_after_drain: true,
+                    rows: layout
+                        .chain_rows_of(st, t)
+                        .iter()
+                        .map(|&i| footprint(i as usize, irp, icols))
+                        .collect(),
+                })
+                .collect();
+            StageSpec {
+                pack: layout.stage_pack(st),
+                chunks,
+                chains,
             }
-            SweepDirection::Transpose => {
-                let ts = s.transpose_split();
-                let p = num_packs - 1 - st;
-                build_stage(
-                    p,
-                    s.pack_rows(p),
-                    workers,
-                    ts.ext_row_ptr(),
-                    ts.ext_cols(),
-                    ts.int_row_ptr(),
-                    ts.int_cols(),
-                    |rows| ts.range_ext_dep(rows) as usize,
-                    ts.chain_super_rows(p).len(),
-                    |t| ts.chain_rows_of(p, t),
-                )
-            }
-        };
-        stages.push(stage);
-    }
+        })
+        .collect();
     ScheduleSpec {
         locations: s.n(),
         stages,
-    }
-}
-
-/// One stage of a solve spec: the pack's phase-1 chunks (kernel chunking
-/// formula) and phase-2 chain tickets, with footprints read off the slabs.
-#[allow(clippy::too_many_arguments)]
-fn build_stage<'a>(
-    pack: usize,
-    rows: std::ops::Range<usize>,
-    workers: usize,
-    erp: &[usize],
-    ecols: &[u32],
-    irp: &[usize],
-    icols: &[u32],
-    range_dep: impl Fn(std::ops::Range<usize>) -> usize,
-    nchains: usize,
-    chain_rows: impl Fn(usize) -> &'a [u32],
-) -> StageSpec {
-    let m = rows.len();
-    let nchunks = workers.min(m);
-    let mut chunks = Vec::with_capacity(nchunks);
-    for c in 0..nchunks {
-        let chunk = rows.start + c * m / nchunks..rows.start + (c + 1) * m / nchunks;
-        let dep = range_dep(chunk.clone());
-        let rows_fp = chunk
-            .map(|i| RowFootprint {
-                row: i,
-                reads: ecols[erp[i]..erp[i + 1]]
-                    .iter()
-                    .map(|&j| j as usize)
-                    .collect(),
-            })
-            .collect();
-        chunks.push(ChunkSpec {
-            dep,
-            rows: rows_fp,
-            publishes: true,
-        });
-    }
-    let chains = (0..nchains)
-        .map(|t| ChainSpec {
-            claims_after_drain: true,
-            rows: chain_rows(t)
-                .iter()
-                .map(|&i| {
-                    let i = i as usize;
-                    RowFootprint {
-                        row: i,
-                        reads: icols[irp[i]..irp[i + 1]]
-                            .iter()
-                            .map(|&j| j as usize)
-                            .collect(),
-                    }
-                })
-                .collect(),
-        })
-        .collect();
-    StageSpec {
-        pack,
-        chunks,
-        chains,
     }
 }
 
@@ -164,7 +109,7 @@ fn build_stage<'a>(
 /// the rows named by their strictly-lower columns; no phase 2.
 pub fn factor_spec(s: &StsStructure, threads: usize) -> ScheduleSpec {
     let workers = threads.max(1);
-    let split = s.split();
+    let split = s.layout(SweepDirection::Forward);
     let index2 = s.index2();
     let l = s.lower();
     let num_packs = s.num_packs();

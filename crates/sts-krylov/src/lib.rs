@@ -12,11 +12,11 @@
 //!   (solution scatter);
 //! * [`Preconditioner`] — the sweep contract ([`Identity`], [`Ssor`],
 //!   [`Ic0`]), each applying `z = M⁻¹ r` with **no heap allocation**: the
-//!   sweeps run through the `solve_*_into` kernels against caller-held
-//!   buffers and reusable [`PipelinePlan`](sts_core::PipelinePlan)s, with
-//!   the sweep engine selectable between the bitwise-identical sequential
-//!   split kernels and the pack-pipelined parallel kernels
-//!   ([`SweepEngine`]);
+//!   sweeps run through [`ParallelSolver::solve_into`](sts_core::ParallelSolver::solve_into)
+//!   against caller-held buffers and one reusable
+//!   [`PipelinePlan`](sts_core::PipelinePlan) per direction, on any of the
+//!   bitwise-identical sweep engines
+//!   ([`SolveEngine`](sts_core::SolveEngine));
 //! * [`KrylovWorkspace`] — the persistent vector arena (`r`, `z`, `p`,
 //!   `A·p`, sweep scratch) sized once per structure, so a converged solve
 //!   followed by a thousand more allocates nothing;
@@ -43,8 +43,8 @@
 //! # Quickstart
 //!
 //! ```
-//! use sts_core::Method;
-//! use sts_krylov::{Ic0, KrylovWorkspace, Pcg, Preconditioner, SpdSystem, Ssor, SweepEngine};
+//! use sts_core::{Method, SolveEngine};
+//! use sts_krylov::{Ic0, KrylovWorkspace, Pcg, Preconditioner, SpdSystem, Ssor};
 //! use sts_matrix::generators;
 //! use sts_numa::Schedule;
 //!
@@ -55,7 +55,7 @@
 //! // A PCG driver and a preconditioner whose sweeps run on the pipelined
 //! // parallel kernels.
 //! let pcg = Pcg::new(4, Schedule::Guided { min_chunk: 1 });
-//! let mut pre = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+//! let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
 //!
 //! // Persistent workspace: repeated solves allocate nothing.
 //! let mut ws = KrylovWorkspace::new(sys.n());
@@ -76,7 +76,7 @@ pub mod system;
 pub mod workspace;
 
 pub use pcg::{Pcg, PcgBatchOutcome, PcgBlockOutcome, PcgOptions, PcgOutcome, Tolerance};
-pub use precond::{Ic0, Identity, Preconditioner, Ssor, SweepEngine};
+pub use precond::{Ic0, Identity, Preconditioner, Ssor};
 pub use recovery::{
     build_ladder_preconditioner, LadderPreconditioner, RecoveryAttempt, RecoveryPolicy,
     RecoveryReport, RobustBatchOutcome, RobustBlockOutcome, RobustOutcome, RobustPcg,

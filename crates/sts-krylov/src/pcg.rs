@@ -209,7 +209,7 @@ impl Pcg {
     }
 
     /// The worker pool — preconditioner plans must be built against this
-    /// solver so the `_into` kernels accept them.
+    /// solver so [`ParallelSolver::solve_into`] accepts them.
     pub fn solver(&self) -> &ParallelSolver {
         &self.solver
     }
@@ -236,7 +236,7 @@ impl Pcg {
     /// Solves `A x = b` (original numbering) with preconditioned CG. After
     /// warm-up (lazy layout builds on first use), an iteration performs no
     /// heap allocation: every vector lives in `ws` and the sweeps run
-    /// through the `_into` kernels.
+    /// through [`ParallelSolver::solve_into`] on held plans.
     pub fn solve(
         &self,
         sys: &SpdSystem,
@@ -360,7 +360,7 @@ impl Pcg {
     /// ([`Preconditioner::set_precision`]) and runs the single-RHS solve.
     ///
     /// Only the `precision` and `nrhs` fields are consumed here — the
-    /// preconditioner's own [`SweepEngine`](crate::SweepEngine) governs how
+    /// preconditioner's own [`SolveEngine`](sts_core::SolveEngine) governs how
     /// its sweeps run, and CG has no direction to choose. `nrhs` must be 1;
     /// use [`Pcg::solve_batch_with`] / [`Pcg::solve_block_with`] for more.
     pub fn solve_with(
@@ -566,9 +566,9 @@ impl Pcg {
     ///   (residuals numerically inside the converged span), the solve stops
     ///   and reports the state honestly rather than spinning.
     ///
-    /// Works with either [`SweepEngine`](crate::SweepEngine): the
-    /// preconditioner's batched application runs on the pipelined batch
-    /// kernels or the sequential batched split kernels.
+    /// Works with every [`SolveEngine`](sts_core::SolveEngine): the
+    /// preconditioner's batched application runs on whichever engine it was
+    /// built with.
     pub fn solve_block(
         &self,
         sys: &SpdSystem,
@@ -843,8 +843,8 @@ fn strided_dots(u: &[f64], v: &[f64], nrhs: usize, out: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::{Ic0, Identity, Ssor, SweepEngine};
-    use sts_core::Method;
+    use crate::precond::{Ic0, Identity, Ssor};
+    use sts_core::{Method, SolveEngine};
     use sts_matrix::{generators, ops};
 
     fn laplacian_system(nx: usize, ny: usize) -> SpdSystem {
@@ -879,9 +879,9 @@ mod tests {
         let pcg = Pcg::new(3, Schedule::Guided { min_chunk: 1 });
         let mut ws = KrylovWorkspace::new(sys.n());
         let plain = pcg.solve(&sys, &mut Identity, &b, &mut ws).unwrap();
-        let mut ssor = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+        let mut ssor = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
         let with_ssor = pcg.solve(&sys, &mut ssor, &b, &mut ws).unwrap();
-        let mut ic0 = Ic0::new(&sys, pcg.solver(), SweepEngine::Pipelined).unwrap();
+        let mut ic0 = Ic0::new(&sys, pcg.solver(), SolveEngine::Pipelined).unwrap();
         let with_ic0 = pcg.solve(&sys, &mut ic0, &b, &mut ws).unwrap();
         assert!(plain.converged && with_ssor.converged && with_ic0.converged);
         assert!(
@@ -912,8 +912,8 @@ mod tests {
         let b = ops::spmv(&a, &vec![1.0; sys.n()]).unwrap();
         let pcg = Pcg::new(4, Schedule::Guided { min_chunk: 1 });
         let mut ws = KrylovWorkspace::new(sys.n());
-        let mut seq = Ssor::new(&sys, pcg.solver(), SweepEngine::Sequential);
-        let mut pip = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+        let mut seq = Ssor::new(&sys, pcg.solver(), SolveEngine::Sequential);
+        let mut pip = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
         let out_seq = pcg.solve(&sys, &mut seq, &b, &mut ws).unwrap();
         let out_pip = pcg.solve(&sys, &mut pip, &b, &mut ws).unwrap();
         assert!(out_seq.converged && out_pip.converged);
@@ -953,7 +953,7 @@ mod tests {
         let n = sys.n();
         let nrhs = 3;
         let pcg = Pcg::new(3, Schedule::Guided { min_chunk: 1 });
-        let mut pre = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+        let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
         let mut b = vec![0.0; n * nrhs];
         let mut x_true = vec![0.0; n * nrhs];
         for q in 0..nrhs {
@@ -1114,7 +1114,7 @@ mod tests {
         let n = sys.n();
         let nrhs = 3;
         let pcg = Pcg::new(3, Schedule::Guided { min_chunk: 1 });
-        let mut pre = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+        let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
         let mut b = vec![0.0; n * nrhs];
         let mut x_true = vec![0.0; n * nrhs];
         for q in 0..nrhs {
@@ -1165,7 +1165,7 @@ mod tests {
         let n = sys.n();
         let nrhs = 3;
         let pcg = Pcg::new(2, Schedule::Guided { min_chunk: 1 });
-        let mut pre = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+        let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
         let b0: Vec<f64> = (0..n).map(|i| ((i * 31) % 19) as f64 - 9.0).collect();
         let b2: Vec<f64> = (0..n).map(|i| ((i * 17) % 13) as f64 * 0.5).collect();
         let mut b = vec![0.0; n * nrhs];
@@ -1216,8 +1216,8 @@ mod tests {
             }
         }
         let mut ws = KrylovWorkspace::with_nrhs(n, nrhs);
-        let mut seq = Ssor::new(&sys, pcg.solver(), SweepEngine::Sequential);
-        let mut pip = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+        let mut seq = Ssor::new(&sys, pcg.solver(), SolveEngine::Sequential);
+        let mut pip = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
         let batch_seq = pcg.solve_batch(&sys, &mut seq, &b, nrhs, &mut ws).unwrap();
         let batch_pip = pcg.solve_batch(&sys, &mut pip, &b, nrhs, &mut ws).unwrap();
         assert!(batch_seq.converged.iter().all(|&c| c));

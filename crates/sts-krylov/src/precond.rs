@@ -3,8 +3,9 @@
 //! A preconditioner application is two triangular sweeps — one forward, one
 //! backward — on a fixed structure, repeated every iteration. Both
 //! implementations here therefore bind to an [`SpdSystem`]'s structure at
-//! construction, build their [`PipelinePlan`]s once, and apply through the
-//! allocation-free `solve_*_into` kernels:
+//! construction, build one [`PipelinePlan`] per direction once, and apply
+//! through the allocation-free front door
+//! [`ParallelSolver::solve_into`]:
 //!
 //! * [`Ssor`] — symmetric Gauss–Seidel, `M = (D + L) D⁻¹ (D + L)ᵀ`, whose
 //!   operand *is* the system structure's reordered lower triangle (no extra
@@ -20,31 +21,22 @@
 //! * [`Identity`] — `M = I`, turning the driver into plain CG for
 //!   comparison runs.
 //!
-//! The [`SweepEngine`] selects between the sequential split kernels and the
-//! pack-pipelined parallel kernels. Both run the *same* per-row arithmetic
-//! in the same order, so switching engines changes wall time, never the
-//! iterate sequence — sequential- and pipelined-sweep PCG take bitwise
-//! identical paths and the same iteration count.
+//! The [`SolveEngine`] selects which orchestrator runs the sweeps. Every
+//! engine runs the *same* per-row arithmetic in the same order, so
+//! switching engines changes wall time, never the iterate sequence —
+//! sequential-, split- and pipelined-sweep PCG take bitwise identical paths
+//! and the same iteration count.
 
 use std::sync::Arc;
 
-use sts_core::{ParallelSolver, PipelinePlan, PrecisionPolicy, StsStructure};
+use sts_core::{
+    ParallelSolver, PipelinePlan, PrecisionPolicy, SolveEngine, SolveOptions, StsStructure,
+    SweepDirection,
+};
 use sts_matrix::MatrixError;
 
 use crate::system::SpdSystem;
 use crate::Result;
-
-/// Which kernels a preconditioner's triangular sweeps run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepEngine {
-    /// The sequential split kernels (`solve_sequential_split_into` /
-    /// `solve_transpose_sequential_split_into`): single-core, no pool
-    /// involvement.
-    Sequential,
-    /// The pack-pipelined parallel kernels (`solve_pipelined_into` /
-    /// `solve_transpose_pipelined_into`) on the driver's worker pool.
-    Pipelined,
-}
 
 /// The application contract `z = M⁻¹ r`, in the system's reordered
 /// numbering, with no heap allocation: implementations may only use the
@@ -56,7 +48,8 @@ pub trait Preconditioner {
     fn label(&self) -> &'static str;
 
     /// Applies `z ← M⁻¹ r`. `solver` must be the pool the preconditioner's
-    /// plans were built against (the `_into` kernels verify this).
+    /// plans were built against ([`ParallelSolver::solve_into`] verifies
+    /// this for every engine).
     fn apply_into(
         &mut self,
         solver: &ParallelSolver,
@@ -66,9 +59,8 @@ pub trait Preconditioner {
     ) -> Result<()>;
 
     /// Applies `z ← M⁻¹ r` to `nrhs` interleaved systems
-    /// (`r[i * nrhs + q]`). Both sweep engines carry batch sweeps ([`Ssor`]
-    /// / [`Ic0`] route the sequential engine through the batched sequential
-    /// split kernels); the trait default refuses for preconditioners
+    /// (`r[i * nrhs + q]`). Every sweep engine carries batch sweeps
+    /// ([`Ssor`] / [`Ic0`]); the trait default refuses for preconditioners
     /// without batch support.
     fn apply_batch_into(
         &mut self,
@@ -138,38 +130,31 @@ impl Preconditioner for Identity {
     }
 }
 
-/// The two sweeps shared by [`Ssor`] and [`Ic0`]: a structure, its
-/// forward/backward plans (pipelined engine only), and the engine choice.
+/// The two sweeps shared by [`Ssor`] and [`Ic0`]: a structure, one plan
+/// per direction, and the solve request (engine and precision) both sweeps
+/// run with.
 #[derive(Debug)]
 struct SweepPair {
     structure: Arc<StsStructure>,
-    engine: SweepEngine,
-    /// `(forward, backward)` plans; `None` for the sequential engine.
-    plans: Option<(PipelinePlan, PipelinePlan)>,
-    /// Which value slabs the sweeps read; switched by
-    /// [`Preconditioner::set_precision`], f64 by default.
-    precision: PrecisionPolicy,
+    /// Engine and value-slab precision of both sweeps (precision switched
+    /// by [`Preconditioner::set_precision`], f64 by default); the direction
+    /// and batch width are set per call.
+    opts: SolveOptions,
+    /// The forward plan.
+    fwd: PipelinePlan,
+    /// The backward (transpose) plan.
+    bwd: PipelinePlan,
 }
 
 impl SweepPair {
-    fn new(structure: Arc<StsStructure>, solver: &ParallelSolver, engine: SweepEngine) -> Self {
-        let plans = match engine {
-            SweepEngine::Sequential => {
-                // Force the lazy layouts now so the first apply is not the
-                // one paying the build sweeps.
-                structure.split();
-                structure.transpose_split();
-                None
-            }
-            SweepEngine::Pipelined => {
-                Some((solver.plan(&structure), solver.plan_transpose(&structure)))
-            }
-        };
+    /// Builds both plans, forcing the lazy layouts now so the first apply
+    /// is not the one paying the build sweeps.
+    fn new(structure: Arc<StsStructure>, solver: &ParallelSolver, engine: SolveEngine) -> Self {
         SweepPair {
+            fwd: solver.plan(&structure, SweepDirection::Forward),
+            bwd: solver.plan(&structure, SweepDirection::Transpose),
             structure,
-            engine,
-            plans,
-            precision: PrecisionPolicy::ValuesF64,
+            opts: SolveOptions::default().with_engine(engine),
         }
     }
 
@@ -178,110 +163,40 @@ impl SweepPair {
     /// one-time conversion.
     fn set_precision(&mut self, precision: PrecisionPolicy) {
         if precision == PrecisionPolicy::ValuesF32WithRefinement {
-            self.structure.split().ext_vals_f32();
-            self.structure.split().int_vals_f32();
-            self.structure.transpose_split().ext_vals_f32();
-            self.structure.transpose_split().int_vals_f32();
+            for direction in [SweepDirection::Forward, SweepDirection::Transpose] {
+                let layout = self.structure.layout(direction);
+                layout.ext_vals_f32();
+                layout.int_vals_f32();
+            }
         }
-        self.precision = precision;
+        self.opts.precision = precision;
     }
 
-    fn f32_vals(&self) -> bool {
-        self.precision == PrecisionPolicy::ValuesF32WithRefinement
-    }
-
-    /// Forward sweep `L y = r` into `y`.
-    fn forward(&mut self, solver: &ParallelSolver, r: &[f64], y: &mut [f64]) -> Result<()> {
-        let f32_vals = self.f32_vals();
-        match (&self.engine, &mut self.plans) {
-            (SweepEngine::Sequential, _) if f32_vals => {
-                self.structure.solve_sequential_split_f32_into(r, y)
-            }
-            (SweepEngine::Sequential, _) => self.structure.solve_sequential_split_into(r, y),
-            (SweepEngine::Pipelined, Some((fwd, _))) if f32_vals => {
-                solver.solve_pipelined_f32_into(&self.structure, fwd, r, y)
-            }
-            (SweepEngine::Pipelined, Some((fwd, _))) => {
-                solver.solve_pipelined_into(&self.structure, fwd, r, y)
-            }
-            (SweepEngine::Pipelined, None) => unreachable!("pipelined pair always holds plans"),
-        }
-    }
-
-    /// Backward sweep `Lᵀ z = t` into `z`.
-    fn backward(&mut self, solver: &ParallelSolver, t: &[f64], z: &mut [f64]) -> Result<()> {
-        let f32_vals = self.f32_vals();
-        match (&self.engine, &mut self.plans) {
-            (SweepEngine::Sequential, _) if f32_vals => self
-                .structure
-                .solve_transpose_sequential_split_f32_into(t, z),
-            (SweepEngine::Sequential, _) => {
-                self.structure.solve_transpose_sequential_split_into(t, z)
-            }
-            (SweepEngine::Pipelined, Some((_, bwd))) if f32_vals => {
-                solver.solve_transpose_pipelined_f32_into(&self.structure, bwd, t, z)
-            }
-            (SweepEngine::Pipelined, Some((_, bwd))) => {
-                solver.solve_transpose_pipelined_into(&self.structure, bwd, t, z)
-            }
-            (SweepEngine::Pipelined, None) => unreachable!("pipelined pair always holds plans"),
-        }
-    }
-
-    /// Batched forward sweep. The sequential engine runs the batched
-    /// sequential split kernel — bitwise identical per right-hand side to
-    /// the scalar sequential sweep — so engine selection works for batches
-    /// exactly as it does for single-RHS applications.
-    fn forward_batch(
+    /// Forward sweep `L Y = R` into `Y`, for `nrhs` interleaved systems.
+    fn forward(
         &mut self,
         solver: &ParallelSolver,
         r: &[f64],
         y: &mut [f64],
         nrhs: usize,
     ) -> Result<()> {
-        let f32_vals = self.f32_vals();
-        match (&self.engine, &mut self.plans) {
-            (SweepEngine::Sequential, _) if f32_vals => self
-                .structure
-                .solve_batch_sequential_split_f32_into(r, y, nrhs),
-            (SweepEngine::Sequential, _) => {
-                self.structure.solve_batch_sequential_split_into(r, y, nrhs)
-            }
-            (SweepEngine::Pipelined, Some((fwd, _))) if f32_vals => {
-                solver.solve_batch_pipelined_f32_into(&self.structure, fwd, r, y, nrhs)
-            }
-            (SweepEngine::Pipelined, Some((fwd, _))) => {
-                solver.solve_batch_pipelined_into(&self.structure, fwd, r, y, nrhs)
-            }
-            (SweepEngine::Pipelined, None) => unreachable!("pipelined pair always holds plans"),
-        }
+        let opts = self.opts.with_nrhs(nrhs);
+        solver.solve_into(&self.structure, &mut self.fwd, r, y, &opts)
     }
 
-    /// Batched backward sweep; engine selection as in
-    /// [`SweepPair::forward_batch`].
-    fn backward_batch(
+    /// Backward sweep `Lᵀ Z = T` into `Z`, for `nrhs` interleaved systems.
+    fn backward(
         &mut self,
         solver: &ParallelSolver,
         t: &[f64],
         z: &mut [f64],
         nrhs: usize,
     ) -> Result<()> {
-        let f32_vals = self.f32_vals();
-        match (&self.engine, &mut self.plans) {
-            (SweepEngine::Sequential, _) if f32_vals => self
-                .structure
-                .solve_transpose_batch_sequential_split_f32_into(t, z, nrhs),
-            (SweepEngine::Sequential, _) => self
-                .structure
-                .solve_transpose_batch_sequential_split_into(t, z, nrhs),
-            (SweepEngine::Pipelined, Some((_, bwd))) if f32_vals => {
-                solver.solve_transpose_batch_pipelined_f32_into(&self.structure, bwd, t, z, nrhs)
-            }
-            (SweepEngine::Pipelined, Some((_, bwd))) => {
-                solver.solve_transpose_batch_pipelined_into(&self.structure, bwd, t, z, nrhs)
-            }
-            (SweepEngine::Pipelined, None) => unreachable!("pipelined pair always holds plans"),
-        }
+        let opts = self
+            .opts
+            .with_direction(SweepDirection::Transpose)
+            .with_nrhs(nrhs);
+        solver.solve_into(&self.structure, &mut self.bwd, t, z, &opts)
     }
 }
 
@@ -298,8 +213,8 @@ pub struct Ssor {
 
 impl Ssor {
     /// Builds the preconditioner on `sys`'s structure, with plans bound to
-    /// `solver` when the pipelined engine is selected.
-    pub fn new(sys: &SpdSystem, solver: &ParallelSolver, engine: SweepEngine) -> Ssor {
+    /// `solver`'s pool.
+    pub fn new(sys: &SpdSystem, solver: &ParallelSolver, engine: SolveEngine) -> Ssor {
         let structure = sys.structure_arc();
         let diag = (0..structure.n())
             .map(|i| structure.lower().diag(i))
@@ -324,13 +239,13 @@ impl Preconditioner for Ssor {
         sweep: &mut [f64],
     ) -> Result<()> {
         // (D + L) y = r.
-        self.sweeps.forward(solver, r, sweep)?;
+        self.sweeps.forward(solver, r, sweep, 1)?;
         // t = D y, in place.
         for (value, d) in sweep.iter_mut().zip(&self.diag) {
             *value *= d;
         }
         // (D + L)ᵀ z = t.
-        self.sweeps.backward(solver, sweep, z)
+        self.sweeps.backward(solver, sweep, z, 1)
     }
 
     fn apply_batch_into(
@@ -341,13 +256,13 @@ impl Preconditioner for Ssor {
         sweep: &mut [f64],
         nrhs: usize,
     ) -> Result<()> {
-        self.sweeps.forward_batch(solver, r, sweep, nrhs)?;
+        self.sweeps.forward(solver, r, sweep, nrhs)?;
         for (i, &d) in self.diag.iter().enumerate() {
             for value in &mut sweep[i * nrhs..(i + 1) * nrhs] {
                 *value *= d;
             }
         }
-        self.sweeps.backward_batch(solver, sweep, z, nrhs)
+        self.sweeps.backward(solver, sweep, z, nrhs)
     }
 
     fn set_precision(&mut self, precision: PrecisionPolicy) {
@@ -355,7 +270,7 @@ impl Preconditioner for Ssor {
     }
 
     fn precision(&self) -> PrecisionPolicy {
-        self.sweeps.precision
+        self.sweeps.opts.precision
     }
 }
 
@@ -392,7 +307,7 @@ impl Ic0 {
     /// [`Ic0::new_sequential`]; both produce **bitwise identical** factors
     /// (and identical breakdown errors), so the choice only moves wall
     /// time.
-    pub fn new(sys: &SpdSystem, solver: &ParallelSolver, engine: SweepEngine) -> Result<Ic0> {
+    pub fn new(sys: &SpdSystem, solver: &ParallelSolver, engine: SolveEngine) -> Result<Ic0> {
         Ic0::new_parallel(sys, solver, engine)
     }
 
@@ -404,7 +319,7 @@ impl Ic0 {
     pub fn new_parallel(
         sys: &SpdSystem,
         solver: &ParallelSolver,
-        engine: SweepEngine,
+        engine: SolveEngine,
     ) -> Result<Ic0> {
         let factor = solver.parallel_ic0(sys.structure(), sys.matrix())?;
         let structure = Arc::new(sys.structure().with_operand(factor)?);
@@ -421,7 +336,7 @@ impl Ic0 {
     pub fn new_sequential(
         sys: &SpdSystem,
         solver: &ParallelSolver,
-        engine: SweepEngine,
+        engine: SolveEngine,
     ) -> Result<Ic0> {
         let factor = sts_matrix::factor::ic0(sys.matrix())?;
         let structure = Arc::new(sys.structure().with_operand(factor)?);
@@ -446,7 +361,7 @@ impl Ic0 {
     pub fn new_shifted(
         sys: &SpdSystem,
         solver: &ParallelSolver,
-        engine: SweepEngine,
+        engine: SolveEngine,
         alpha: f64,
     ) -> Result<Ic0> {
         Ic0::new_shifted_parallel(sys, solver, engine, alpha)
@@ -457,7 +372,7 @@ impl Ic0 {
     pub fn new_shifted_parallel(
         sys: &SpdSystem,
         solver: &ParallelSolver,
-        engine: SweepEngine,
+        engine: SolveEngine,
         alpha: f64,
     ) -> Result<Ic0> {
         let shifted = shifted_operand(sys.matrix(), alpha)?;
@@ -475,7 +390,7 @@ impl Ic0 {
     pub fn new_shifted_sequential(
         sys: &SpdSystem,
         solver: &ParallelSolver,
-        engine: SweepEngine,
+        engine: SolveEngine,
         alpha: f64,
     ) -> Result<Ic0> {
         let shifted = shifted_operand(sys.matrix(), alpha)?;
@@ -501,7 +416,7 @@ impl Ic0 {
     pub fn new_row_boosted(
         sys: &SpdSystem,
         solver: &ParallelSolver,
-        engine: SweepEngine,
+        engine: SolveEngine,
         row: usize,
         alpha: f64,
     ) -> Result<Ic0> {
@@ -616,8 +531,8 @@ impl Preconditioner for Ic0 {
         sweep: &mut [f64],
     ) -> Result<()> {
         // F y = r, then Fᵀ z = y.
-        self.sweeps.forward(solver, r, sweep)?;
-        self.sweeps.backward(solver, sweep, z)
+        self.sweeps.forward(solver, r, sweep, 1)?;
+        self.sweeps.backward(solver, sweep, z, 1)
     }
 
     fn apply_batch_into(
@@ -628,8 +543,8 @@ impl Preconditioner for Ic0 {
         sweep: &mut [f64],
         nrhs: usize,
     ) -> Result<()> {
-        self.sweeps.forward_batch(solver, r, sweep, nrhs)?;
-        self.sweeps.backward_batch(solver, sweep, z, nrhs)
+        self.sweeps.forward(solver, r, sweep, nrhs)?;
+        self.sweeps.backward(solver, sweep, z, nrhs)
     }
 
     fn set_precision(&mut self, precision: PrecisionPolicy) {
@@ -637,7 +552,7 @@ impl Preconditioner for Ic0 {
     }
 
     fn precision(&self) -> PrecisionPolicy {
-        self.sweeps.precision
+        self.sweeps.opts.precision
     }
 }
 
@@ -668,7 +583,7 @@ mod tests {
         let (sys, solver) = test_setup();
         let r: Vec<f64> = (0..sys.n()).map(|i| 1.0 + (i % 5) as f64 * 0.3).collect();
         let expected = ssor_reference(&sys, &r);
-        for engine in [SweepEngine::Sequential, SweepEngine::Pipelined] {
+        for engine in [SolveEngine::Sequential, SolveEngine::Pipelined] {
             let mut pre = Ssor::new(&sys, &solver, engine);
             let mut z = vec![0.0; sys.n()];
             let mut sweep = vec![0.0; sys.n()];
@@ -684,8 +599,8 @@ mod tests {
     fn sequential_and_pipelined_applications_are_bitwise_identical() {
         let (sys, solver) = test_setup();
         let r: Vec<f64> = (0..sys.n()).map(|i| 0.25 + (i % 7) as f64).collect();
-        let mut seq = Ssor::new(&sys, &solver, SweepEngine::Sequential);
-        let mut pip = Ssor::new(&sys, &solver, SweepEngine::Pipelined);
+        let mut seq = Ssor::new(&sys, &solver, SolveEngine::Sequential);
+        let mut pip = Ssor::new(&sys, &solver, SolveEngine::Pipelined);
         let (mut z1, mut z2) = (vec![0.0; sys.n()], vec![0.0; sys.n()]);
         let mut sweep = vec![0.0; sys.n()];
         seq.apply_into(&solver, &r, &mut z1, &mut sweep).unwrap();
@@ -696,7 +611,7 @@ mod tests {
     #[test]
     fn ic0_application_inverts_the_factor_product() {
         let (sys, solver) = test_setup();
-        let mut pre = Ic0::new(&sys, &solver, SweepEngine::Pipelined).unwrap();
+        let mut pre = Ic0::new(&sys, &solver, SolveEngine::Pipelined).unwrap();
         // Manufacture r = F Fᵀ w, expect apply(r) = w.
         let f = sts_matrix::factor::ic0(sys.matrix()).unwrap();
         let w: Vec<f64> = (0..sys.n()).map(|i| 1.0 - (i % 4) as f64 * 0.2).collect();
@@ -711,9 +626,9 @@ mod tests {
     #[test]
     fn ic0_setup_engines_build_bitwise_identical_factors() {
         let (sys, solver) = test_setup();
-        let seq = Ic0::new_sequential(&sys, &solver, SweepEngine::Sequential).unwrap();
-        let par = Ic0::new_parallel(&sys, &solver, SweepEngine::Sequential).unwrap();
-        let def = Ic0::new(&sys, &solver, SweepEngine::Sequential).unwrap();
+        let seq = Ic0::new_sequential(&sys, &solver, SolveEngine::Sequential).unwrap();
+        let par = Ic0::new_parallel(&sys, &solver, SolveEngine::Sequential).unwrap();
+        let def = Ic0::new(&sys, &solver, SolveEngine::Sequential).unwrap();
         assert_eq!(
             seq.factor_values(),
             par.factor_values(),
@@ -736,7 +651,7 @@ mod tests {
         let (sys, solver) = test_setup();
         let n = sys.n();
         let nrhs = 3;
-        let mut pre = Ssor::new(&sys, &solver, SweepEngine::Pipelined);
+        let mut pre = Ssor::new(&sys, &solver, SolveEngine::Pipelined);
         let mut rb = vec![0.0; n * nrhs];
         let mut expected = vec![0.0; n * nrhs];
         for q in 0..nrhs {
@@ -757,7 +672,7 @@ mod tests {
         // The sequential engine's batched sweeps are bitwise identical to
         // its per-system applications (each lane runs the scalar kernel's
         // exact floating-point sequence).
-        let mut seq = Ssor::new(&sys, &solver, SweepEngine::Sequential);
+        let mut seq = Ssor::new(&sys, &solver, SolveEngine::Sequential);
         let mut zb_seq = vec![0.0; n * nrhs];
         seq.apply_batch_into(&solver, &rb, &mut zb_seq, &mut sweepb, nrhs)
             .unwrap();

@@ -34,11 +34,11 @@
 //! propagate immediately — retrying cannot fix those, and masking them
 //! would hide real faults.
 
-use sts_core::{ParallelSolver, PrecisionPolicy};
+use sts_core::{ParallelSolver, PrecisionPolicy, SolveEngine};
 use sts_matrix::MatrixError;
 
 use crate::pcg::{Pcg, PcgBatchOutcome, PcgBlockOutcome, PcgOutcome};
-use crate::precond::{Ic0, Identity, Preconditioner, Ssor, SweepEngine};
+use crate::precond::{Ic0, Identity, Preconditioner, Ssor};
 use crate::system::SpdSystem;
 use crate::workspace::KrylovWorkspace;
 use crate::Result;
@@ -59,7 +59,7 @@ pub struct RecoveryPolicy {
     /// Whether the ladder may degrade all the way to plain CG.
     pub allow_identity: bool,
     /// The sweep engine every rung's preconditioner runs on.
-    pub engine: SweepEngine,
+    pub engine: SolveEngine,
     /// The value-slab precision every rung's preconditioner sweeps with
     /// ([`Preconditioner::set_precision`]).
     pub precision: PrecisionPolicy,
@@ -72,7 +72,7 @@ impl Default for RecoveryPolicy {
             shifts: vec![1e-3, 1e-2, 1e-1, 1.0],
             allow_ssor: true,
             allow_identity: true,
-            engine: SweepEngine::Pipelined,
+            engine: SolveEngine::Pipelined,
             precision: PrecisionPolicy::ValuesF64,
         }
     }
@@ -728,7 +728,7 @@ mod tests {
             row_boosts: vec![],
             allow_ssor: false,
             allow_identity: false,
-            engine: SweepEngine::Sequential,
+            engine: SolveEngine::Sequential,
             ..RecoveryPolicy::default()
         };
         // IC(0) itself still runs (the Laplacian factors), so this succeeds…
@@ -758,7 +758,7 @@ mod tests {
             row_boosts: vec![],
             allow_ssor: false,
             allow_identity: false,
-            engine: SweepEngine::Sequential,
+            engine: SolveEngine::Sequential,
             ..RecoveryPolicy::default()
         };
         let robust = RobustPcg::with_policy(Pcg::new(1, Schedule::Static), policy);

@@ -7,7 +7,7 @@
 //! symmetric matrix from the SuiteSparse/UF collection (the paper's Table 1)
 //! to reproduce the pipeline on the original inputs.
 
-use sts_k::core::{Method, ParallelSolver};
+use sts_k::core::{Method, ParallelSolver, SolveOptions};
 use sts_k::matrix::{generators, io, ops, LowerTriangularCsr};
 use sts_k::numa::Schedule;
 
@@ -63,7 +63,9 @@ fn main() {
         .map(|c| c.get())
         .unwrap_or(1);
     let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-    let x = solver.solve(&structure, &b).expect("solve succeeds");
+    let x = solver
+        .solve_with(&structure, &b, &SolveOptions::default())
+        .expect("solve succeeds");
     println!(
         "solved on {threads} threads; max relative error vs manufactured solution = {:.2e}",
         ops::relative_error_inf(&x, &x_true)

@@ -23,9 +23,9 @@
 //!
 //! Run with `cargo run --release --example pcg_preconditioner`.
 
-use sts_k::core::Method;
+use sts_k::core::{Method, SolveEngine};
 use sts_k::krylov::{
-    Ic0, Identity, KrylovWorkspace, Pcg, PcgOutcome, Preconditioner, SpdSystem, Ssor, SweepEngine,
+    Ic0, Identity, KrylovWorkspace, Pcg, PcgOutcome, Preconditioner, SpdSystem, Ssor,
 };
 use sts_k::matrix::{generators, ops};
 use sts_k::numa::Schedule;
@@ -74,13 +74,13 @@ fn main() {
     report("plain CG", &plain, &x_true);
 
     // SSOR-PCG, sequential vs pipelined sweeps: same iterates, faster sweeps.
-    let mut ssor_seq = Ssor::new(&sys, pcg.solver(), SweepEngine::Sequential);
+    let mut ssor_seq = Ssor::new(&sys, pcg.solver(), SolveEngine::Sequential);
     let seq = pcg
         .solve(&sys, &mut ssor_seq, &b, &mut ws)
         .expect("sequential-sweep PCG runs");
     report("SSOR-PCG (seq sweeps)", &seq, &x_true);
 
-    let mut ssor_pip = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+    let mut ssor_pip = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
     let pip = pcg
         .solve(&sys, &mut ssor_pip, &b, &mut ws)
         .expect("pipelined-sweep PCG runs");
@@ -91,7 +91,7 @@ fn main() {
     );
 
     // IC(0)-PCG: a genuine factorization, same hierarchy, fewer iterations.
-    let mut ic0 = Ic0::new(&sys, pcg.solver(), SweepEngine::Pipelined).expect("laplacian is SPD");
+    let mut ic0 = Ic0::new(&sys, pcg.solver(), SolveEngine::Pipelined).expect("laplacian is SPD");
     let ic = pcg
         .solve(&sys, &mut ic0, &b, &mut ws)
         .expect("IC(0)-PCG runs");

@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use sts_k::core::{Method, ParallelSolver};
+use sts_k::core::{Method, ParallelSolver, SolveOptions};
 use sts_k::matrix::generators;
 use sts_k::matrix::ops;
 use sts_k::numa::Schedule;
@@ -55,7 +55,7 @@ fn main() {
         .unwrap_or(1);
     let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
     let x_par = solver
-        .solve(&structure, &b)
+        .solve_with(&structure, &b, &SolveOptions::default())
         .expect("parallel solve succeeds");
     println!(
         "parallel solve on {threads} threads: max relative error = {:.2e}",

@@ -15,8 +15,8 @@
 
 use std::sync::Arc;
 
-use sts_k::core::Method;
-use sts_k::krylov::{KrylovWorkspace, Pcg, SpdSystem, Ssor, SweepEngine};
+use sts_k::core::{Method, SolveEngine};
+use sts_k::krylov::{KrylovWorkspace, Pcg, SpdSystem, Ssor};
 use sts_k::matrix::{generators, ops};
 use sts_k::numa::Schedule;
 use sts_k::trace::{chrome_trace_json, SpanRecorder};
@@ -38,7 +38,7 @@ fn main() {
     pcg.solver_mut()
         .set_trace_recorder(Some(Arc::clone(&recorder)));
 
-    let mut pre = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+    let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
     let mut ws = KrylovWorkspace::new(sys.n());
     let x_true = vec![1.0; sys.n()];
     let b = ops::spmv(&a, &x_true).expect("dimensions agree");

@@ -42,17 +42,27 @@
 //! assert!(x.iter().zip(&x_true).all(|(a, b)| (a - b).abs() < 1e-10));
 //! ```
 //!
-//! # The two-phase split kernels
+//! # The split engines and the one front door
 //!
-//! Every structure also carries a dependency-split layout
-//! ([`core::SplitLayout`]): per pack, the nonzeros referencing *earlier*
-//! packs (a pure, embarrassingly-parallel gather) are separated from the
-//! short in-pack dependence chains. The split kernels stream the former and
-//! schedule only the latter, and the multi-RHS batch kernel amortises index
-//! traffic across right-hand sides:
+//! Every structure also carries a dependency-split layout per sweep
+//! direction ([`core::SplitLayout`]): per stage, the nonzeros referencing
+//! *earlier* stages (a pure, embarrassingly-parallel gather) are separated
+//! from the short in-pack dependence chains. The split engines stream the
+//! former and schedule only the latter, and the multi-RHS bodies amortise
+//! index traffic across right-hand sides. The transpose layout runs the
+//! packs in reverse order, so backward sweeps run on the same kernels.
+//!
+//! Every sweep goes through one front door,
+//! [`core::ParallelSolver::solve_into`] (or its allocating wrapper
+//! [`core::ParallelSolver::solve_with`]): engine, sweep direction,
+//! right-hand-side count and value-slab precision travel together in one
+//! [`core::SolveOptions`], and every combination has a kernel. All engines
+//! run the same per-row arithmetic, so single-RHS results are bitwise
+//! identical across engines and thread counts:
 //!
 //! ```
-//! use sts_k::core::{Ordering, ParallelSolver, StsBuilder};
+//! use sts_k::core::{Ordering, ParallelSolver, SolveEngine, SolveOptions, StsBuilder,
+//!                   SweepDirection};
 //! use sts_k::matrix::generators;
 //! use sts_k::numa::Schedule;
 //!
@@ -60,38 +70,42 @@
 //! let l = generators::lower_operand(&a).unwrap();
 //! let sts = StsBuilder::new(3).ordering(Ordering::Coloring).build(&l).unwrap();
 //! let b = vec![1.0; sts.n()];
+//! let solver = ParallelSolver::new(4, Schedule::Guided { min_chunk: 1 });
 //!
 //! // Two-phase solve: external gather, phase barrier, in-pack chains.
-//! let solver = ParallelSolver::new(4, Schedule::Guided { min_chunk: 1 });
-//! let x = solver.solve_split(&sts, &b).unwrap();
+//! let split = SolveOptions::default().with_engine(SolveEngine::Split);
+//! let x = solver.solve_with(&sts, &b, &split).unwrap();
 //! assert!((x[0] - sts.solve_sequential(&b).unwrap()[0]).abs() < 1e-12);
 //!
-//! // Pack-pipelined solve: same arithmetic, but the per-pack barriers are
-//! // fused into an epoch gate so the gather of pack p+1 overlaps the chains
-//! // of pack p on idle workers.
-//! let xp = solver.solve_pipelined(&sts, &b).unwrap();
-//! assert!((xp[0] - x[0]).abs() < 1e-12);
+//! // Pack-pipelined solve (the default engine): same arithmetic, but the
+//! // per-pack barriers are fused into an epoch gate so the gather of pack
+//! // p+1 overlaps the chains of pack p on idle workers.
+//! let xp = solver.solve_with(&sts, &b, &SolveOptions::default()).unwrap();
+//! assert_eq!(xp, x);
+//!
+//! // Iterative callers hold one plan per direction and solve into their
+//! // own buffers: no allocation per solve.
+//! let bwd = SolveOptions::default().with_direction(SweepDirection::Transpose);
+//! let mut plan = solver.plan(&sts, SweepDirection::Transpose);
+//! let mut xt = vec![0.0; sts.n()];
+//! solver.solve_into(&sts, &mut plan, &b, &mut xt, &bwd).unwrap();
+//! let xt_ref = sts.solve_transpose_sequential(&b).unwrap();
+//! assert!(xt.iter().zip(&xt_ref).all(|(a, b)| (a - b).abs() < 1e-12));
 //!
 //! // Four right-hand sides at once, row-major (`B[i * nrhs + r]`).
 //! let nrhs = 4;
 //! let bb: Vec<f64> = (0..sts.n() * nrhs).map(|k| 1.0 + (k % nrhs) as f64).collect();
-//! let xb = solver.solve_batch(&sts, &bb, nrhs).unwrap();
-//! let xbp = solver.solve_batch_pipelined(&sts, &bb, nrhs).unwrap();
-//! assert_eq!(xb.len(), sts.n() * nrhs);
-//! assert!(xb.iter().zip(&xbp).all(|(a, b)| (a - b).abs() < 1e-12));
+//! let xb = solver.solve_with(&sts, &bb, &split.with_nrhs(nrhs)).unwrap();
+//! let xbp = solver.solve_with(&sts, &bb, &SolveOptions::default().with_nrhs(nrhs)).unwrap();
+//! assert_eq!(xb, xbp);
 //! ```
 //!
-//! The split layout behind these kernels is built lazily on first use;
-//! callers that only ever run the unsplit kernels skip its ≈2× off-diagonal
-//! storage cost entirely.
+//! The split layouts are built lazily on first use; callers that only ever
+//! run the paper's unsplit baseline ([`core::ParallelSolver::solve_unsplit`])
+//! skip their ≈2× off-diagonal storage cost entirely.
 //!
-//! # One front door: `SolveOptions`
+//! ## Mixed precision
 //!
-//! The named entries above are thin wrappers over a single typed
-//! dispatcher, [`core::ParallelSolver::solve_with`]: engine, sweep
-//! direction, right-hand-side count and value-slab precision travel
-//! together in one [`core::SolveOptions`]. The wrappers stay — bitwise
-//! identical to the options they name — but new code should start here.
 //! [`core::PrecisionPolicy::ValuesF32WithRefinement`] demotes the value
 //! slabs to cached f32 copies (~half the sweep's value traffic) while every
 //! kernel still accumulates in f64, and
@@ -110,12 +124,8 @@
 //! let sts = StsBuilder::new(3).ordering(Ordering::Coloring).build(&l).unwrap();
 //! let solver = ParallelSolver::new(4, Schedule::Guided { min_chunk: 1 });
 //! let b = vec![1.0; sts.n()];
-//!
-//! // The pipelined f64 solve, spelled through the front door: exactly the
-//! // bits `solve_pipelined` produces.
 //! let opts = SolveOptions::default().with_engine(SolveEngine::Pipelined);
 //! let x = solver.solve_with(&sts, &b, &opts).unwrap();
-//! assert_eq!(x, solver.solve_pipelined(&sts, &b).unwrap());
 //!
 //! // Mixed precision: f32 value slabs, f64 accumulation, refined back to
 //! // the f64 answer against the full-precision operand.
@@ -132,14 +142,14 @@
 //! per iteration on a fixed structure. [`krylov::SpdSystem`] permutes the
 //! operator into the STS ordering once; [`krylov::Ssor`] (symmetric
 //! Gauss–Seidel) and [`krylov::Ic0`] (zero-fill incomplete Cholesky) run
-//! their sweeps on the pipelined `solve_*_into` kernels against a persistent
-//! [`krylov::KrylovWorkspace`], so an iteration allocates nothing; and the
-//! backward sweeps run in parallel too, on the transpose split layout
-//! ([`core::TransposeLayout`], packs in reverse order):
+//! their sweeps through [`core::ParallelSolver::solve_into`] with one plan
+//! per direction against a persistent [`krylov::KrylovWorkspace`], so an
+//! iteration allocates nothing; and the backward sweeps run in parallel
+//! too, on the transpose split layout (packs in reverse order):
 //!
 //! ```
-//! use sts_k::core::Method;
-//! use sts_k::krylov::{Ic0, KrylovWorkspace, Pcg, SpdSystem, Ssor, SweepEngine};
+//! use sts_k::core::{Method, SolveEngine};
+//! use sts_k::krylov::{Ic0, KrylovWorkspace, Pcg, SpdSystem, Ssor};
 //! use sts_k::matrix::{generators, ops};
 //! use sts_k::numa::Schedule;
 //!
@@ -149,7 +159,7 @@
 //!
 //! // PCG with symmetric Gauss–Seidel sweeps on the pipelined kernels.
 //! let pcg = Pcg::new(4, Schedule::Guided { min_chunk: 1 });
-//! let mut pre = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+//! let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
 //! let mut ws = KrylovWorkspace::new(sys.n());
 //!
 //! let x_true = vec![1.0; sys.n()];
@@ -173,9 +183,8 @@
 //! duplicate right-hand side) is *deflated*: dropped from the basis while
 //! its system keeps iterating on the rest; a converged system is *frozen*
 //! (its updates stop, its direction leaves the basis) while stragglers
-//! finish. Both sweep engines work — the sequential engine's batched sweeps
-//! ([`core::StsStructure::solve_batch_sequential_split`] and its transpose)
-//! are bitwise identical per lane to the scalar sequential kernels, so
+//! finish. Every sweep engine works — the sequential engine's batched
+//! sweeps are bitwise identical per lane to its single-RHS sweeps, so
 //! engine choice works for batches exactly as for single-RHS solves:
 //!
 //! ```
@@ -219,8 +228,8 @@
 //! only moves setup wall time:
 //!
 //! ```
-//! # use sts_k::core::Method;
-//! # use sts_k::krylov::{Ic0, KrylovWorkspace, Pcg, SpdSystem, SweepEngine};
+//! # use sts_k::core::{Method, SolveEngine};
+//! # use sts_k::krylov::{Ic0, KrylovWorkspace, Pcg, SpdSystem};
 //! # use sts_k::matrix::{generators, ops};
 //! # use sts_k::numa::Schedule;
 //! # let a = generators::grid2d_laplacian(24, 24).unwrap();
@@ -229,12 +238,12 @@
 //! # let mut ws = KrylovWorkspace::new(sys.n());
 //! # let b = ops::spmv(&a, &vec![1.0; sys.n()]).unwrap();
 //! // Setup runs level-scheduled on the pool; sweeps run pipelined.
-//! let mut ic0 = Ic0::new_parallel(&sys, pcg.solver(), SweepEngine::Pipelined).unwrap();
+//! let mut ic0 = Ic0::new_parallel(&sys, pcg.solver(), SolveEngine::Pipelined).unwrap();
 //! let out_ic0 = pcg.solve(&sys, &mut ic0, &b, &mut ws).unwrap();
 //! assert!(out_ic0.converged);
 //!
 //! // Bitwise-identical fallback, for single-core hosts.
-//! let seq = Ic0::new_sequential(&sys, pcg.solver(), SweepEngine::Sequential).unwrap();
+//! let seq = Ic0::new_sequential(&sys, pcg.solver(), SolveEngine::Sequential).unwrap();
 //! assert_eq!(seq.factor_values(), ic0.factor_values());
 //! ```
 //!

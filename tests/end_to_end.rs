@@ -33,7 +33,7 @@ fn every_method_solves_every_suite_class_correctly() {
             let x_true: Vec<f64> = (0..s.n()).map(|i| 1.0 + (i % 11) as f64 * 0.1).collect();
             let b = s.lower().multiply(&x_true).unwrap();
             let x_seq = s.solve_sequential(&b).unwrap();
-            let x_par = solver.solve(&s, &b).unwrap();
+            let x_par = solver.solve_unsplit(&s, &b).unwrap();
             assert!(
                 ops::relative_error_inf(&x_seq, &x_true) < 1e-9,
                 "{} sequential solve wrong on {}",
@@ -157,7 +157,7 @@ fn build_then_solve_many_right_hand_sides_amortises_preprocessing() {
     for k in 0..10 {
         let x_true: Vec<f64> = (0..s.n()).map(|i| ((i + k) % 7) as f64 + 1.0).collect();
         let b = s.lower().multiply(&x_true).unwrap();
-        let x = solver.solve(&s, &b).unwrap();
+        let x = solver.solve_unsplit(&s, &b).unwrap();
         assert!(ops::relative_error_inf(&x, &x_true) < 1e-9);
     }
 }

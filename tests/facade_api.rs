@@ -16,7 +16,7 @@ fn readme_quickstart_compiles_and_runs() {
     let x_true = vec![1.0; sts.n()];
     let b = sts.lower().multiply(&x_true).unwrap();
     let solver = ParallelSolver::new(2, Schedule::Guided { min_chunk: 1 });
-    let x = solver.solve(&sts, &b).unwrap();
+    let x = solver.solve_unsplit(&sts, &b).unwrap();
     assert!(ops::relative_error_inf(&x, &x_true) < 1e-10);
 }
 

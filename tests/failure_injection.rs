@@ -35,7 +35,7 @@ fn mismatched_rhs_lengths_error_at_every_entry_point() {
     assert!(l.solve_seq(&[1.0; 5]).is_err());
     assert!(s.solve_sequential(&[1.0; 5]).is_err());
     let solver = ParallelSolver::new(2, Schedule::Static);
-    assert!(solver.solve(&s, &[1.0; 5]).is_err());
+    assert!(solver.solve_unsplit(&s, &[1.0; 5]).is_err());
 }
 
 #[test]
@@ -102,6 +102,6 @@ fn empty_system_is_handled_end_to_end() {
         let s = method.build(&l, 8).unwrap();
         assert_eq!(s.solve_sequential(&[]).unwrap(), Vec::<f64>::new());
         let solver = ParallelSolver::new(2, Schedule::Static);
-        assert_eq!(solver.solve(&s, &[]).unwrap(), Vec::<f64>::new());
+        assert_eq!(solver.solve_unsplit(&s, &[]).unwrap(), Vec::<f64>::new());
     }
 }

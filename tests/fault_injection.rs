@@ -12,9 +12,9 @@ use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::time::{Duration, Instant};
 
 use sts_bench::faultinject;
-use sts_k::core::{ChaosHook, Method, ParallelSolver};
+use sts_k::core::{ChaosHook, Method, ParallelSolver, SolveEngine, SolveOptions};
 use sts_k::krylov::{
-    Ic0, KrylovWorkspace, Pcg, Preconditioner, RecoveryPolicy, RobustPcg, SpdSystem, SweepEngine,
+    Ic0, KrylovWorkspace, Pcg, Preconditioner, RecoveryPolicy, RobustPcg, SpdSystem,
 };
 use sts_k::matrix::{factor, generators, ops, MatrixError};
 use sts_k::numa::{PoolError, Schedule, WorkerPool};
@@ -94,7 +94,7 @@ fn pipelined_solve_panic_poisons_and_recovers() {
             let mut solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
             solver.set_chaos_hook(Some(faultinject::panic_hook(0)));
             let err = solver
-                .solve_pipelined(&s, &b)
+                .solve_with(&s, &b, &SolveOptions::default())
                 .expect_err("the injected panic must surface");
             match err {
                 MatrixError::WorkerPanicked {
@@ -111,7 +111,9 @@ fn pipelined_solve_panic_poisons_and_recovers() {
             // Clearing the hook restores a fully working solver: the gate
             // poison is rewound per solve, nothing leaks across dispatches.
             solver.set_chaos_hook(None);
-            let x = solver.solve_pipelined(&s, &b).expect("solver must recover");
+            let x = solver
+                .solve_with(&s, &b, &SolveOptions::default())
+                .expect("solver must recover");
             assert!(
                 ops::relative_error_inf(&x, &reference) < 1e-12,
                 "post-fault solve diverged at {threads} threads"
@@ -170,7 +172,7 @@ fn stalled_worker_times_out_instead_of_hanging() {
                 Duration::from_millis(1500),
             )));
             let err = solver
-                .solve_pipelined(&s, &b)
+                .solve_with(&s, &b, &SolveOptions::default())
                 .expect_err("the stalled solve must time out");
             match err {
                 MatrixError::SolveTimeout { timeout_ms, .. } => {
@@ -179,7 +181,9 @@ fn stalled_worker_times_out_instead_of_hanging() {
                 other => panic!("expected SolveTimeout, got {other:?}"),
             }
             solver.set_chaos_hook(None);
-            let x = solver.solve_pipelined(&s, &b).expect("solver must recover");
+            let x = solver
+                .solve_with(&s, &b, &SolveOptions::default())
+                .expect("solver must recover");
             assert!(
                 ops::relative_error_inf(&x, &reference) < 1e-12,
                 "post-timeout solve diverged at {threads} threads"
@@ -206,7 +210,7 @@ fn stalled_single_worker_is_a_slow_success() {
             Duration::from_millis(400),
         )));
         let x = solver
-            .solve_pipelined(&s, &b)
+            .solve_with(&s, &b, &SolveOptions::default())
             .expect("a stalled lone worker still finishes");
         assert!(ops::relative_error_inf(&x, &s.solve_sequential(&b).unwrap()) < 1e-12);
     });
@@ -349,9 +353,9 @@ fn shifted_ic0_engines_are_bitwise_identical_across_the_ladder() {
             let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
             for alpha in [1e-3, 1e-1, 1.0] {
                 let seq =
-                    Ic0::new_shifted_sequential(&sys, &solver, SweepEngine::Sequential, alpha)
+                    Ic0::new_shifted_sequential(&sys, &solver, SolveEngine::Sequential, alpha)
                         .unwrap();
-                let par = Ic0::new_shifted_parallel(&sys, &solver, SweepEngine::Sequential, alpha)
+                let par = Ic0::new_shifted_parallel(&sys, &solver, SolveEngine::Sequential, alpha)
                     .unwrap();
                 assert_eq!(
                     seq.factor_values(),
@@ -531,7 +535,7 @@ fn chaos_hooks_compose_with_the_krylov_driver() {
             let mut pcg = Pcg::new(threads, Schedule::Guided { min_chunk: 1 });
             pcg.solver_mut()
                 .set_chaos_hook(Some(faultinject::panic_hook(0)));
-            let mut pre = sts_k::krylov::Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+            let mut pre = sts_k::krylov::Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
             let mut ws = KrylovWorkspace::new(sys.n());
             let b = vec![1.0; sys.n()];
             let err = pcg

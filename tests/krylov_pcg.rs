@@ -3,10 +3,9 @@
 //! converge to the dense-Cholesky solution of the synthetic SPD suite (grid
 //! Laplacians) within an iteration bound.
 
-use sts_k::core::Method;
+use sts_k::core::{Method, SolveEngine};
 use sts_k::krylov::{
-    Ic0, Identity, KrylovWorkspace, Pcg, PcgOptions, Preconditioner, SpdSystem, Ssor, SweepEngine,
-    Tolerance,
+    Ic0, Identity, KrylovWorkspace, Pcg, PcgOptions, Preconditioner, SpdSystem, Ssor, Tolerance,
 };
 use sts_k::matrix::{generators, ops, CsrMatrix};
 use sts_k::numa::Schedule;
@@ -97,15 +96,15 @@ fn pcg_matches_the_dense_reference_on_the_spd_suite() {
             ("none", Box::new(Identity)),
             (
                 "ssor-seq",
-                Box::new(Ssor::new(&sys, pcg.solver(), SweepEngine::Sequential)),
+                Box::new(Ssor::new(&sys, pcg.solver(), SolveEngine::Sequential)),
             ),
             (
                 "ssor-pipelined",
-                Box::new(Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined)),
+                Box::new(Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined)),
             ),
             (
                 "ic0-pipelined",
-                Box::new(Ic0::new(&sys, pcg.solver(), SweepEngine::Pipelined).unwrap()),
+                Box::new(Ic0::new(&sys, pcg.solver(), SolveEngine::Pipelined).unwrap()),
             ),
         ];
         for (label, pre) in preconditioners.iter_mut() {
@@ -138,7 +137,7 @@ fn batched_pcg_matches_the_dense_reference() {
     let n = sys.n();
     let nrhs = 4;
     let pcg = Pcg::new(3, Schedule::Guided { min_chunk: 1 });
-    let mut pre = Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined);
+    let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
     let mut b = vec![0.0; n * nrhs];
     let mut x_ref = vec![0.0; n * nrhs];
     for q in 0..nrhs {
@@ -194,15 +193,15 @@ fn block_pcg_matches_the_dense_reference() {
         ("none", Box::new(Identity)),
         (
             "ssor-seq",
-            Box::new(Ssor::new(&sys, pcg.solver(), SweepEngine::Sequential)),
+            Box::new(Ssor::new(&sys, pcg.solver(), SolveEngine::Sequential)),
         ),
         (
             "ssor-pipelined",
-            Box::new(Ssor::new(&sys, pcg.solver(), SweepEngine::Pipelined)),
+            Box::new(Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined)),
         ),
         (
             "ic0-pipelined",
-            Box::new(Ic0::new(&sys, pcg.solver(), SweepEngine::Pipelined).unwrap()),
+            Box::new(Ic0::new(&sys, pcg.solver(), SolveEngine::Pipelined).unwrap()),
         ),
     ];
     for (label, pre) in preconditioners.iter_mut() {

@@ -19,7 +19,6 @@ use sts_k::core::{
 };
 use sts_k::krylov::{
     solve_refined, KrylovWorkspace, Pcg, Preconditioner, RefineOptions, SpdSystem, Ssor,
-    SweepEngine,
 };
 use sts_k::matrix::{generators, ops, LowerTriangularCsr};
 use sts_k::numa::Schedule;
@@ -113,7 +112,11 @@ fn f32_pcg_iteration_counts_are_engine_independent() {
     for threads in [1usize, 2, 4, 8] {
         let pcg = Pcg::new(threads, Schedule::Guided { min_chunk: 1 });
         let mut per_engine = Vec::new();
-        for engine in [SweepEngine::Sequential, SweepEngine::Pipelined] {
+        for engine in [
+            SolveEngine::Sequential,
+            SolveEngine::Split,
+            SolveEngine::Pipelined,
+        ] {
             let mut pre = Ssor::new(&sys, pcg.solver(), engine);
             let mut ws = KrylovWorkspace::new(sys.n());
             let out = pcg

@@ -2,7 +2,10 @@
 //! randomly generated sparse triangular systems and graphs.
 
 use proptest::prelude::*;
-use sts_k::core::{Method, Ordering, ParallelSolver, StsBuilder, SuperRowSizing};
+use sts_k::core::{
+    Method, Ordering, ParallelSolver, SolveEngine, SolveOptions, StsBuilder, StsStructure,
+    SuperRowSizing, SweepDirection,
+};
 use sts_k::graph::{rcm, Coloring, ColoringOrder, Graph, LevelSets, Permutation};
 use sts_k::matrix::suite::{SuiteScale, TestSuite};
 use sts_k::matrix::{generators, ops, CooMatrix, LowerTriangularCsr};
@@ -20,6 +23,25 @@ fn lower_triangular_strategy() -> impl Strategy<Value = LowerTriangularCsr> {
             .expect("random operand is always constructible")
     })
 }
+
+/// One sweep through the solver's front door.
+fn sweep(
+    solver: &ParallelSolver,
+    s: &StsStructure,
+    b: &[f64],
+    engine: SolveEngine,
+    direction: SweepDirection,
+    nrhs: usize,
+) -> Vec<f64> {
+    let opts = SolveOptions::default()
+        .with_engine(engine)
+        .with_direction(direction)
+        .with_nrhs(nrhs);
+    solver.solve_with(s, b, &opts).unwrap()
+}
+
+const FWD: SweepDirection = SweepDirection::Forward;
+const BWD: SweepDirection = SweepDirection::Transpose;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -52,7 +74,7 @@ proptest! {
         let b = s.lower().multiply(&x_true).unwrap();
         let seq = s.solve_sequential(&b).unwrap();
         let solver = ParallelSolver::new(3, Schedule::Dynamic { chunk: 2 });
-        let par = solver.solve(&s, &b).unwrap();
+        let par = solver.solve_unsplit(&s, &b).unwrap();
         prop_assert!(ops::relative_error_inf(&par, &seq) < 1e-12);
     }
 
@@ -74,7 +96,8 @@ proptest! {
                 let x_true: Vec<f64> = (0..n).map(|i| 0.5 + (i % 6) as f64 * 0.4).collect();
                 let b = s.lower().multiply(&x_true).unwrap();
                 let seq = s.solve_sequential(&b).unwrap();
-                let seq_split = s.solve_sequential_split(&b).unwrap();
+                let one = ParallelSolver::new(1, Schedule::Static);
+                let seq_split = sweep(&one, &s, &b, SolveEngine::Sequential, FWD, 1);
                 prop_assert!(ops::relative_error_inf(&seq_split, &seq) < 1e-12);
                 // Batched right-hand sides: shifted copies of b, expected
                 // solutions from the reference kernel per system.
@@ -88,32 +111,32 @@ proptest! {
                         expected[i * nrhs + r] = xr[i];
                     }
                 }
-                let xb = s.solve_batch(&bb, nrhs).unwrap();
+                let xb = sweep(&one, &s, &bb, SolveEngine::Sequential, FWD, nrhs);
                 prop_assert!(ops::relative_error_inf(&xb, &expected) < 1e-12);
                 for threads in [1usize, 2, 4, 8] {
                     let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                    let par_split = solver.solve_split(&s, &b).unwrap();
+                    let par_split = sweep(&solver, &s, &b, SolveEngine::Split, FWD, 1);
                     prop_assert!(
                         ops::relative_error_inf(&par_split, &seq) < 1e-12,
-                        "solve_split diverged ({:?}, k={k}, {threads} threads, n={n})",
+                        "split diverged ({:?}, k={k}, {threads} threads, n={n})",
                         ordering
                     );
-                    let par_piped = solver.solve_pipelined(&s, &b).unwrap();
+                    let par_piped = sweep(&solver, &s, &b, SolveEngine::Pipelined, FWD, 1);
                     prop_assert!(
                         ops::relative_error_inf(&par_piped, &seq) < 1e-12,
-                        "solve_pipelined diverged ({:?}, k={k}, {threads} threads, n={n})",
+                        "pipelined diverged ({:?}, k={k}, {threads} threads, n={n})",
                         ordering
                     );
-                    let par_batch = solver.solve_batch(&s, &bb, nrhs).unwrap();
+                    let par_batch = sweep(&solver, &s, &bb, SolveEngine::Split, FWD, nrhs);
                     prop_assert!(
                         ops::relative_error_inf(&par_batch, &expected) < 1e-12,
-                        "solve_batch diverged ({:?}, k={k}, {threads} threads, n={n})",
+                        "split batch diverged ({:?}, k={k}, {threads} threads, n={n})",
                         ordering
                     );
-                    let batch_piped = solver.solve_batch_pipelined(&s, &bb, nrhs).unwrap();
+                    let batch_piped = sweep(&solver, &s, &bb, SolveEngine::Pipelined, FWD, nrhs);
                     prop_assert!(
                         ops::relative_error_inf(&batch_piped, &expected) < 1e-12,
-                        "solve_batch_pipelined diverged ({:?}, k={k}, {threads} threads, n={n})",
+                        "pipelined batch diverged ({:?}, k={k}, {threads} threads, n={n})",
                         ordering
                     );
                 }
@@ -126,8 +149,8 @@ proptest! {
         l in lower_triangular_strategy()
     ) {
         // The engine-matrix invariant behind single-core batched
-        // preconditioning: every lane of the sequential batched split
-        // kernels (forward and transpose) runs the scalar kernels' exact
+        // preconditioning: every lane of the sequential engine's batches
+        // (forward and transpose) runs the single-RHS bodies' exact
         // floating-point sequence, so equality is ==, not a tolerance —
         // across both orderings and both multi-level depths.
         let nrhs = 3;
@@ -145,12 +168,13 @@ proptest! {
                         bb[i * nrhs + q] = 0.5 + ((i * 5 + q * 7) % 11) as f64 * 0.35;
                     }
                 }
-                let xb = s.solve_batch_sequential_split(&bb, nrhs).unwrap();
-                let tb = s.solve_transpose_batch_sequential_split(&bb, nrhs).unwrap();
+                let one = ParallelSolver::new(1, Schedule::Static);
+                let xb = sweep(&one, &s, &bb, SolveEngine::Sequential, FWD, nrhs);
+                let tb = sweep(&one, &s, &bb, SolveEngine::Sequential, BWD, nrhs);
                 for q in 0..nrhs {
                     let bq: Vec<f64> = (0..n).map(|i| bb[i * nrhs + q]).collect();
-                    let xq = s.solve_sequential_split(&bq).unwrap();
-                    let tq = s.solve_transpose_sequential_split(&bq).unwrap();
+                    let xq = sweep(&one, &s, &bq, SolveEngine::Sequential, FWD, 1);
+                    let tq = sweep(&one, &s, &bq, SolveEngine::Sequential, BWD, 1);
                     for i in 0..n {
                         prop_assert_eq!(
                             xb[i * nrhs + q], xq[i],
@@ -185,20 +209,21 @@ proptest! {
                 let x_true: Vec<f64> = (0..n).map(|i| 0.5 + (i % 6) as f64 * 0.4).collect();
                 let b = s.lower().multiply_transpose(&x_true).unwrap();
                 let seq = s.lower().solve_transpose_seq(&b).unwrap();
-                let seq_split = s.solve_transpose_sequential_split(&b).unwrap();
+                let one = ParallelSolver::new(1, Schedule::Static);
+                let seq_split = sweep(&one, &s, &b, SolveEngine::Sequential, BWD, 1);
                 prop_assert!(ops::relative_error_inf(&seq_split, &seq) < 1e-12);
                 for threads in [1usize, 2, 4, 8] {
                     let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                    let par_split = solver.solve_transpose_split(&s, &b).unwrap();
+                    let par_split = sweep(&solver, &s, &b, SolveEngine::Split, BWD, 1);
                     prop_assert!(
                         ops::relative_error_inf(&par_split, &seq) < 1e-12,
-                        "solve_transpose_split diverged ({:?}, k={k}, {threads} threads, n={n})",
+                        "transpose split diverged ({:?}, k={k}, {threads} threads, n={n})",
                         ordering
                     );
-                    let par_piped = solver.solve_transpose_pipelined(&s, &b).unwrap();
+                    let par_piped = sweep(&solver, &s, &b, SolveEngine::Pipelined, BWD, 1);
                     prop_assert!(
                         ops::relative_error_inf(&par_piped, &seq) < 1e-12,
-                        "solve_transpose_pipelined diverged ({:?}, k={k}, {threads} threads, n={n})",
+                        "transpose pipelined diverged ({:?}, k={k}, {threads} threads, n={n})",
                         ordering
                     );
                 }
@@ -319,8 +344,10 @@ fn split_kernels_match_sequential_on_the_synthetic_suite() {
                 let x_true: Vec<f64> = (0..n).map(|i| 1.0 + (i % 9) as f64 * 0.25).collect();
                 let b = s.lower().multiply(&x_true).unwrap();
                 let seq = s.solve_sequential(&b).unwrap();
+                let one = ParallelSolver::new(1, Schedule::Static);
+                let seq_split = sweep(&one, &s, &b, SolveEngine::Sequential, FWD, 1);
                 assert!(
-                    ops::relative_error_inf(&s.solve_sequential_split(&b).unwrap(), &seq) < 1e-12,
+                    ops::relative_error_inf(&seq_split, &seq) < 1e-12,
                     "sequential split diverged on {} ({ordering:?}, k={k})",
                     m.id.label()
                 );
@@ -334,40 +361,29 @@ fn split_kernels_match_sequential_on_the_synthetic_suite() {
                         expected[i * nrhs + r] = xr[i];
                     }
                 }
+                let seq_batch = sweep(&one, &s, &bb, SolveEngine::Sequential, FWD, nrhs);
                 assert!(
-                    ops::relative_error_inf(&s.solve_batch(&bb, nrhs).unwrap(), &expected) < 1e-12,
+                    ops::relative_error_inf(&seq_batch, &expected) < 1e-12,
                     "sequential batch diverged on {} ({ordering:?}, k={k})",
                     m.id.label()
                 );
                 for threads in [1usize, 2, 4, 8] {
                     let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                    assert!(
-                        ops::relative_error_inf(&solver.solve_split(&s, &b).unwrap(), &seq) < 1e-12,
-                        "solve_split diverged on {} ({ordering:?}, k={k}, {threads} threads)",
-                        m.id.label()
-                    );
-                    assert!(
-                        ops::relative_error_inf(&solver.solve_pipelined(&s, &b).unwrap(), &seq)
-                            < 1e-12,
-                        "solve_pipelined diverged on {} ({ordering:?}, k={k}, {threads} threads)",
-                        m.id.label()
-                    );
-                    assert!(
-                        ops::relative_error_inf(
-                            &solver.solve_batch(&s, &bb, nrhs).unwrap(),
-                            &expected
-                        ) < 1e-12,
-                        "solve_batch diverged on {} ({ordering:?}, k={k}, {threads} threads)",
-                        m.id.label()
-                    );
-                    assert!(
-                        ops::relative_error_inf(
-                            &solver.solve_batch_pipelined(&s, &bb, nrhs).unwrap(),
-                            &expected
-                        ) < 1e-12,
-                        "solve_batch_pipelined diverged on {} ({ordering:?}, k={k}, {threads} threads)",
-                        m.id.label()
-                    );
+                    for engine in [SolveEngine::Split, SolveEngine::Pipelined] {
+                        let x = sweep(&solver, &s, &b, engine, FWD, 1);
+                        assert!(
+                            ops::relative_error_inf(&x, &seq) < 1e-12,
+                            "{engine:?} diverged on {} ({ordering:?}, k={k}, {threads} threads)",
+                            m.id.label()
+                        );
+                        let xb = sweep(&solver, &s, &bb, engine, FWD, nrhs);
+                        assert!(
+                            ops::relative_error_inf(&xb, &expected) < 1e-12,
+                            "{engine:?} batch diverged on {} ({ordering:?}, k={k}, {threads} \
+                             threads)",
+                            m.id.label()
+                        );
+                    }
                 }
             }
         }

@@ -7,9 +7,8 @@
 //!   builder produces — both orderings, both multilevel depths, every
 //!   [`Method`] — passes [`StsStructure::verify_schedule`], which checks the
 //!   forward, transpose and factor schedules at each thread count of the
-//!   sweep. The debug-build hooks inside `split()`/`transpose_split()` run
-//!   the same check incidentally; this suite is the explicit, release-mode
-//!   guarantee.
+//!   sweep. The debug-build hook inside `layout()` runs the same check
+//!   incidentally; this suite is the explicit, release-mode guarantee.
 //! * **Negative**: corrupting a schedule spec — dropping a dependency edge,
 //!   forging a ticket claim, reordering a gate publish — must be flagged with
 //!   the *exact* `(pack, row)` of the first unordered access, and the
