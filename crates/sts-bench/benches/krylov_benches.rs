@@ -1,28 +1,21 @@
 //! Criterion benchmarks of the end-to-end Krylov workload: PCG on the
-//! 200×200 grid Laplacian, comparing sequential-sweep against
-//! pipelined-sweep preconditioning, plus the IC(0) *setup* pair —
-//! sequential up-looking sweep vs. the level-scheduled build on the pack
-//! hierarchy, plus the batched pair — lockstep scalar CG vs block CG on a
-//! shared Krylov space over four correlated right-hand sides, on both sweep
-//! engines (the sequential one running its lane-exact batch body).
+//! 200×200 grid Laplacian, comparing sweeps on one worker against sweeps on
+//! every available worker, plus the IC(0) *setup* pair — sequential
+//! up-looking sweep vs. the level-scheduled build on the pack hierarchy,
+//! plus the batched pair — lockstep scalar CG vs block CG on a shared
+//! Krylov space over four correlated right-hand sides, at both pool sizes.
 //!
-//! Both sweep engines (and both setup engines) run bitwise-identical
+//! Both pool sizes (and both setup paths) run bitwise-identical
 //! arithmetic, so every timed solve performs exactly the same iteration
 //! count — the measured difference is pure kernel speed. A per-application
 //! pair (one SSOR application, no CG around it) isolates the sweeps
 //! themselves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sts_core::{Method, SolveEngine};
+use sts_core::Method;
 use sts_krylov::{Ic0, KrylovWorkspace, Pcg, Preconditioner, SpdSystem, Ssor};
 use sts_matrix::{generators, ops};
 use sts_numa::Schedule;
-
-/// The compared sweep engines and their bench labels.
-const SWEEP_ENGINES: [(SolveEngine, &str); 2] = [
-    (SolveEngine::Sequential, "seq_sweeps"),
-    (SolveEngine::Pipelined, "pipelined_sweeps"),
-];
 
 fn krylov_benchmarks(c: &mut Criterion) {
     let a = generators::grid2d_laplacian(200, 200).expect("grid dimensions are valid");
@@ -32,6 +25,17 @@ fn krylov_benchmarks(c: &mut Criterion) {
         .map(|c| c.get())
         .unwrap_or(1);
     let pcg = Pcg::new(threads, Schedule::Guided { min_chunk: 1 });
+    // The compared pool sizes and their bench labels.
+    let pools = [
+        (
+            Pcg::new(1, Schedule::Guided { min_chunk: 1 }),
+            "threads_1".to_string(),
+        ),
+        (
+            Pcg::new(threads, Schedule::Guided { min_chunk: 1 }),
+            format!("threads_{threads}"),
+        ),
+    ];
     let x_true: Vec<f64> = (0..n)
         .map(|i| ((i * 7919) % 101) as f64 * 0.02 - 1.0)
         .collect();
@@ -39,8 +43,8 @@ fn krylov_benchmarks(c: &mut Criterion) {
     let mut ws = KrylovWorkspace::new(n);
 
     let mut group = c.benchmark_group("pcg_200x200");
-    for (engine, label) in SWEEP_ENGINES {
-        let mut pre = Ssor::new(&sys, pcg.solver(), engine);
+    for (pcg, label) in &pools {
+        let mut pre = Ssor::new(&sys, pcg.solver());
         // Warm-up outside the timer: forces the lazy split layouts.
         let warm = pcg
             .solve(&sys, &mut pre, &b, &mut ws)
@@ -62,10 +66,9 @@ fn krylov_benchmarks(c: &mut Criterion) {
             },
         );
     }
-    let mut ic0 =
-        Ic0::new_parallel(&sys, pcg.solver(), SolveEngine::Pipelined).expect("laplacian is SPD");
+    let mut ic0 = Ic0::new_parallel(&sys, pcg.solver()).expect("laplacian is SPD");
     group.bench_with_input(
-        BenchmarkId::new("ic0_solve", "pipelined_sweeps"),
+        BenchmarkId::new("ic0_solve", format!("threads_{threads}")),
         &sys,
         |bench, sys| bench.iter(|| pcg.solve(sys, &mut ic0, &b, &mut ws).unwrap()),
     );
@@ -74,15 +77,14 @@ fn krylov_benchmarks(c: &mut Criterion) {
     // Lockstep scalar CG vs block CG on four correlated right-hand sides
     // (Krylov chain + 1% rough parts): same operator, same tolerance — the
     // block driver converges in fewer iterations on a shared Krylov space,
-    // at the price of small dense projections per step. Both engines'
-    // batched sweeps back the SSOR pair, so the bench also exercises the
-    // sequential engine's lane-exact batch body.
+    // at the price of small dense projections per step, at both pool
+    // sizes.
     let nrhs = 4;
     let bb = generators::correlated_rhs_chain(&a, nrhs).expect("workload binds to the operator");
     let mut wsb = KrylovWorkspace::with_nrhs(n, nrhs);
     let mut group = c.benchmark_group("pcg_batch4_200x200");
-    for (engine, label) in SWEEP_ENGINES {
-        let mut pre = Ssor::new(&sys, pcg.solver(), engine);
+    for (pcg, label) in &pools {
+        let mut pre = Ssor::new(&sys, pcg.solver());
         let warm = pcg
             .solve_batch(&sys, &mut pre, &bb, nrhs, &mut wsb)
             .expect("lockstep CG converges");
@@ -107,7 +109,7 @@ fn krylov_benchmarks(c: &mut Criterion) {
         .solver()
         .parallel_ic0(sys.structure(), sys.matrix())
         .expect("laplacian is SPD");
-    assert_eq!(f_seq.values(), f_par.values(), "setup engines must agree");
+    assert_eq!(f_seq.values(), f_par.values(), "setup paths must agree");
     let mut group = c.benchmark_group("ic0_build_200x200");
     group.bench_function("sequential_sweep", |bench| {
         bench.iter(|| sts_matrix::factor::ic0(sys.matrix()).unwrap())

@@ -7,7 +7,7 @@
 //! artefacts that reproduce the paper's multi-core results.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sts_core::{Method, ParallelSolver, SolveEngine, SolveOptions};
+use sts_core::{Method, ParallelSolver, SolveOptions};
 use sts_matrix::suite::{self, SuiteId};
 use sts_matrix::SuiteScale;
 use sts_numa::Schedule;
@@ -24,13 +24,6 @@ fn solver_benchmarks(c: &mut Criterion) {
             &s,
             |bench, s| bench.iter(|| s.solve_sequential(&b).unwrap()),
         );
-        let seq_solver = ParallelSolver::new(1, Schedule::Static);
-        let seq = SolveOptions::default().with_engine(SolveEngine::Sequential);
-        group.bench_with_input(
-            BenchmarkId::new("sequential_split", method.label()),
-            &s,
-            |bench, s| bench.iter(|| seq_solver.solve_with(s, &b, &seq).unwrap()),
-        );
         let threads = std::thread::available_parallelism()
             .map(|c| c.get())
             .unwrap_or(1);
@@ -40,13 +33,7 @@ fn solver_benchmarks(c: &mut Criterion) {
             &s,
             |bench, s| bench.iter(|| solver.solve_unsplit(s, &b).unwrap()),
         );
-        let split = SolveOptions::default().with_engine(SolveEngine::Split);
         let piped = SolveOptions::default();
-        group.bench_with_input(
-            BenchmarkId::new(format!("split_threads_{threads}"), method.label()),
-            &s,
-            |bench, s| bench.iter(|| solver.solve_with(s, &b, &split).unwrap()),
-        );
         group.bench_with_input(
             BenchmarkId::new(format!("pipelined_threads_{threads}"), method.label()),
             &s,
@@ -54,12 +41,7 @@ fn solver_benchmarks(c: &mut Criterion) {
         );
         let nrhs = 4;
         let b4 = vec![1.0; s.n() * nrhs];
-        let (split4, piped4) = (split.with_nrhs(nrhs), piped.with_nrhs(nrhs));
-        group.bench_with_input(
-            BenchmarkId::new(format!("batch{nrhs}_threads_{threads}"), method.label()),
-            &s,
-            |bench, s| bench.iter(|| solver.solve_with(s, &b4, &split4).unwrap()),
-        );
+        let piped4 = piped.with_nrhs(nrhs);
         group.bench_with_input(
             BenchmarkId::new(
                 format!("batch{nrhs}_pipelined_threads_{threads}"),

@@ -4,12 +4,12 @@
 //! object on stdout:
 //!
 //! * simulated cycles on the modelled 16-core Intel node for the sequential
-//!   reference (1 core), the pack-parallel kernel, the two-phase split
-//!   kernel and the pack-pipelined (barrier-fused) kernel, plus the
-//!   barrier-bound cycles of the split vs. pipelined schedules;
-//! * measured wall-clock seconds on the host for the sequential, parallel,
-//!   split, pipelined and batched (4 RHS, per-system, split and pipelined)
-//!   kernels, and the pipelined-vs-split wall-time ratio;
+//!   reference (1 core), the unsplit pack-parallel kernel and the
+//!   pack-pipelined (barrier-fused) kernel, plus the pipelined schedule's
+//!   barrier-bound cycles;
+//! * measured wall-clock seconds on the host for the sequential reference,
+//!   the unsplit parallel kernel, and the pipelined kernel at one and at
+//!   four right-hand sides (per right-hand side);
 //! * the end-to-end Krylov workload: SSOR-PCG on the same matrix with
 //!   pipelined sweeps (`pcg_iters`, `pcg_wall_ns`, `pcg_precond_share`) —
 //!   the trend line that catches regressions in what the triangular kernels
@@ -70,9 +70,7 @@ use std::time::Instant;
 
 use serde::{Serialize, Value};
 use sts_bench::harness::{self, Machine};
-use sts_core::{
-    Method, ParallelSolver, PrecisionPolicy, SimulatedExecutor, SolveEngine, SolveOptions,
-};
+use sts_core::{Method, ParallelSolver, PrecisionPolicy, SimulatedExecutor, SolveOptions};
 use sts_krylov::{
     solve_refined, Identity, KrylovWorkspace, Pcg, Preconditioner, RefineOptions, RobustPcg,
     SpdSystem, Ssor,
@@ -92,26 +90,13 @@ struct Smoke {
     sim_cores: usize,
     sim_sequential_cycles: f64,
     sim_parallel_cycles: f64,
-    sim_split_cycles: f64,
     sim_pipelined_cycles: f64,
-    sim_split_compute_speedup: f64,
-    /// Barrier-bound cycles of the split schedule (two barriers per chained
-    /// pack) vs. the pipelined schedule (one pool barrier per solve).
-    sim_split_sync_cycles: f64,
+    /// Barrier-bound cycles of the pipelined schedule (one pool barrier per
+    /// solve).
     sim_pipelined_sync_cycles: f64,
-    /// Modelled end-to-end gain of barrier fusion.
-    sim_pipelined_vs_split_speedup: f64,
     wall_sequential_s: f64,
-    wall_sequential_split_s: f64,
     wall_parallel_s: f64,
-    wall_parallel_split_s: f64,
     wall_parallel_pipelined_s: f64,
-    /// Measured wall-time ratio split / pipelined (≥ 1.0 means the fused
-    /// kernel is no slower than the barriered one). Taken from a dedicated
-    /// interleaved min-of-blocks measurement, so it is noise-robust but not
-    /// directly comparable with the mean-based `wall_*` fields.
-    wall_pipelined_vs_split_speedup: f64,
-    wall_batch4_per_rhs_s: f64,
     wall_batch4_pipelined_per_rhs_s: f64,
     /// SSOR-PCG (pipelined sweeps, 1e-8 relative) on the same matrix:
     /// iterations to convergence, best-of-blocks wall nanoseconds per solve,
@@ -231,44 +216,19 @@ fn main() {
     let sim_cores = machine.figure_cores();
     let sim_seq = harness::simulate(machine, &run, 1);
     let sim_par = harness::simulate(machine, &run, sim_cores);
-    let sim_split = harness::simulate_split(machine, &run, sim_cores);
     let sim_piped = harness::simulate_pipelined(machine, &run, sim_cores);
 
     // Host wall-clock.
     let b = vec![1.0; s.n()];
     let wall_sequential_s = time_per_solve(repeats, || s.solve_sequential(&b).unwrap());
-    let seq_solver = ParallelSolver::new(1, harness::paper_schedule(run.method));
-    let seq_opts = SolveOptions::default().with_engine(SolveEngine::Sequential);
-    let wall_sequential_split_s =
-        time_per_solve(repeats, || seq_solver.solve_with(s, &b, &seq_opts).unwrap());
     // Every wall_* field is a mean over `repeats` solves, comparable with
     // the wall_* series of earlier commits.
     let wall_parallel_s = harness::wallclock_seconds(&run, threads, repeats);
-    let wall_parallel_split_s = harness::wallclock_seconds_split(&run, threads, repeats);
     let wall_parallel_pipelined_s = harness::wallclock_seconds_pipelined(&run, threads, repeats);
     let solver = ParallelSolver::new(threads, harness::paper_schedule(run.method));
-    // The split-vs-pipelined ratio is the trend line CI watches for the
-    // barrier-fusion win, so it gets its own dedicated measurement:
-    // interleaved (process-level drift cancels out of the ratio instead of
-    // landing on whichever kernel was timed last) and min-of-blocks
-    // (scheduler noise on the typically single-core host only ever adds
-    // time). The mean-based wall_* fields above are *not* comparable with
-    // these paired numbers. Measured before the batch section so the
-    // multi-RHS buffers don't perturb the allocator state under it.
-    let split_opts = SolveOptions::default().with_engine(SolveEngine::Split);
     let piped_opts = SolveOptions::default();
-    let (paired_split_s, paired_piped_s) = time_pair(
-        repeats,
-        || solver.solve_with(s, &b, &split_opts).unwrap(),
-        || solver.solve_with(s, &b, &piped_opts).unwrap(),
-    );
     let nrhs = 4;
     let b4 = vec![1.0; s.n() * nrhs];
-    let wall_batch4_s = time_per_solve(repeats, || {
-        solver
-            .solve_with(s, &b4, &split_opts.with_nrhs(nrhs))
-            .unwrap()
-    });
     let wall_batch4_piped_s = time_per_solve(repeats, || {
         solver
             .solve_with(s, &b4, &piped_opts.with_nrhs(nrhs))
@@ -280,7 +240,7 @@ fn main() {
     // time is the best of a few solves (scheduler noise only adds time).
     let sys = SpdSystem::build(&a, Method::Sts3, 80).expect("laplacian binds to STS-3");
     let pcg = Pcg::new(threads, harness::paper_schedule(run.method));
-    let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
+    let mut pre = Ssor::new(&sys, pcg.solver());
     let x_pcg: Vec<f64> = (0..sys.n())
         .map(|i| ((i * 7919) % 101) as f64 * 0.02 - 1.0)
         .collect();
@@ -538,19 +498,11 @@ fn main() {
         sim_cores,
         sim_sequential_cycles: sim_seq.total_cycles,
         sim_parallel_cycles: sim_par.total_cycles,
-        sim_split_cycles: sim_split.total_cycles,
         sim_pipelined_cycles: sim_piped.total_cycles,
-        sim_split_compute_speedup: sim_par.compute_cycles / sim_split.compute_cycles,
-        sim_split_sync_cycles: sim_split.sync_cycles,
         sim_pipelined_sync_cycles: sim_piped.sync_cycles,
-        sim_pipelined_vs_split_speedup: sim_split.total_cycles / sim_piped.total_cycles,
         wall_sequential_s,
-        wall_sequential_split_s,
         wall_parallel_s,
-        wall_parallel_split_s,
         wall_parallel_pipelined_s,
-        wall_pipelined_vs_split_speedup: paired_split_s / paired_piped_s,
-        wall_batch4_per_rhs_s: wall_batch4_s / nrhs as f64,
         wall_batch4_pipelined_per_rhs_s: wall_batch4_piped_s / nrhs as f64,
         pcg_iters: best.iterations,
         // The driver's integer clock (PcgOutcome::wall_ns) — the same value

@@ -4,7 +4,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use serde::Serialize;
-use sts_core::{Method, SimReport, SimulatedExecutor, SolveEngine, SolveOptions, StsStructure};
+use sts_core::{Method, SimReport, SimulatedExecutor, SolveOptions, StsStructure};
 use sts_matrix::{SuiteMatrix, SuiteScale, TestSuite};
 use sts_numa::{NumaTopology, Schedule};
 
@@ -238,18 +238,11 @@ pub fn simulate(machine: Machine, run: &MethodRun, cores: usize) -> SimReport {
     exec.simulate(&run.structure, cores, paper_schedule(run.method))
 }
 
-/// Simulates one built method with the two-phase split kernel on `cores`
-/// cores of the given machine.
-pub fn simulate_split(machine: Machine, run: &MethodRun, cores: usize) -> SimReport {
-    let exec = SimulatedExecutor::new(machine.topology());
-    exec.simulate_split(&run.structure, cores, paper_schedule(run.method))
-}
-
 /// Simulates one built method with the pack-pipelined (barrier-fused) kernel
 /// on `cores` cores of the given machine.
 pub fn simulate_pipelined(machine: Machine, run: &MethodRun, cores: usize) -> SimReport {
     let exec = SimulatedExecutor::new(machine.topology());
-    exec.simulate_pipelined(&run.structure, cores, paper_schedule(run.method))
+    exec.simulate_pipelined(&run.structure, cores)
 }
 
 /// Simulates the level-scheduled IC(0) construction for one built method on
@@ -285,15 +278,6 @@ fn wallclock_with(
 pub fn wallclock_seconds(run: &MethodRun, threads: usize, repeats: usize) -> f64 {
     wallclock_with(run, threads, repeats, |solver, s, b| {
         solver.solve_unsplit(s, b).expect("solve succeeds");
-    })
-}
-
-/// Measures the wall-clock solve time of the two-phase split kernel on the
-/// host with `threads` workers (averaged over `repeats` solves).
-pub fn wallclock_seconds_split(run: &MethodRun, threads: usize, repeats: usize) -> f64 {
-    wallclock_with(run, threads, repeats, |solver, s, b| {
-        let opts = SolveOptions::default().with_engine(SolveEngine::Split);
-        solver.solve_with(s, b, &opts).expect("solve succeeds");
     })
 }
 

@@ -50,7 +50,7 @@ pub struct SimulationParams {
     /// locality shows up in the model.
     pub cache_line_doubles: usize,
     /// Memory-level parallelism of the *unordered* external gather phase of
-    /// the split kernel: how many outstanding misses the hardware overlaps
+    /// the split-layout sweep: how many outstanding misses the hardware overlaps
     /// when no dependence chain serialises the reads. Inside the scheduled
     /// substitution phase each read feeds the chain and pays full latency;
     /// the gather's reads are independent and their latencies divide by this
@@ -233,232 +233,29 @@ impl SimulatedExecutor {
         }
     }
 
-    /// Simulates a full solve of `s` with the two-phase split engine
-    /// ([`SolveEngine::Split`]): per pack, a statically chunked
-    /// external gather, a phase barrier, then the internal substitution under
-    /// `schedule`, and the pack barrier.
-    ///
-    /// The external gather streams each pack's contiguous slab, so its cost
-    /// is charged at streaming rates — with fetch latencies divided by
-    /// [`SimulationParams::gather_mlp`], because nothing serialises the
-    /// gather's reads — plus the diagonal scale; the scheduled phase only
-    /// pays for the chain rows of the internal slab. Packs with internal
-    /// entries pay **two** barriers instead of one — the split must save
-    /// more critical-path work than the extra barrier costs to win, which is
-    /// exactly the trade-off the bench harnesses measure.
-    ///
-    /// [`SolveEngine::Split`]: crate::options::SolveEngine::Split
-    pub fn simulate_split(
-        &self,
-        s: &StsStructure,
-        cores: usize,
-        schedule: SimSchedule,
-    ) -> SimReport {
-        let cores = cores.clamp(1, self.topology.total_cores());
-        let core_ids = self.topology.compact_core_order(cores);
-        let lat = &self.topology.latency;
-        let split = s.layout(SweepDirection::Forward);
-        let n = s.n();
-
-        let mut producer_core = vec![usize::MAX; n];
-        let mut producer_pack = vec![usize::MAX; n];
-        let line = self.params.cache_line_doubles.max(1);
-        let num_lines = n / line + 1;
-        let mut fetched = vec![vec![0u32; num_lines]; cores];
-        // Which core slot ran row i's phase-1 gather during the current pack.
-        let mut phase1_slot = vec![usize::MAX; n];
-
-        let mut compute_cycles = 0.0f64;
-        let mut sync_cycles = 0.0f64;
-        let barrier = self.params.barrier_base_cycles * (1.0 + (cores as f64).log2());
-        let num_packs = s.num_packs();
-
-        for p in 0..num_packs {
-            let rows = s.pack_rows(p);
-            if rows.is_empty() {
-                continue;
-            }
-            let stamp = p as u32 + 1;
-            let m = rows.len();
-            let mlp = self.params.gather_mlp.max(1.0);
-
-            // Phase 1: the external gather with the diagonal scale folded
-            // in, rows statically chunked over the cores. Every row is
-            // produced here; chain rows are then corrected by phase 2.
-            let mut core_time = vec![0.0f64; cores];
-            for (slot, time) in core_time.iter_mut().enumerate() {
-                let chunk = (slot * m / cores)..((slot + 1) * m / cores);
-                let core = core_ids[slot];
-                let mut cycles = 0.0;
-                for r in chunk {
-                    let i1 = rows.start + r;
-                    phase1_slot[i1] = slot;
-                    producer_core[i1] = core;
-                    producer_pack[i1] = p;
-                    // The gathered value is written to x[i1]: write-allocate
-                    // leaves its line in this core's cache.
-                    fetched[slot][i1 / line] = stamp;
-                    let (cols, _) = split.ext_row(i1);
-                    // external entries + the diagonal scale
-                    cycles += (cols.len() + 1) as f64
-                        * (self.params.stream_cycles_per_nnz + self.params.flop_cycles);
-                    for &j in cols {
-                        let j = j as usize;
-                        let line_of_j = j / line;
-                        if fetched[slot][line_of_j] == stamp {
-                            cycles += lat.l1_cycles;
-                            continue;
-                        }
-                        fetched[slot][line_of_j] = stamp;
-                        let pc = producer_core[j];
-                        // No dependence chain serialises the gather, so
-                        // fetch latencies overlap up to the hardware's miss
-                        // parallelism.
-                        let fetch = if pc == usize::MAX {
-                            lat.dram_local_cycles
-                        } else if producer_pack[j] + 1 == p {
-                            lat.reuse_cycles(self.topology.distance(core, pc))
-                        } else {
-                            lat.memory_cycles(self.topology.distance(core, pc))
-                        };
-                        cycles += fetch / mlp;
-                    }
-                }
-                *time += cycles;
-            }
-            compute_cycles += core_time.iter().copied().fold(0.0, f64::max);
-            sync_cycles += barrier; // phase (or pack, if phase 2 is empty) barrier
-
-            // Phase 2: only the chain tasks, under the requested schedule.
-            // Packs without internal entries skip the phase and its barrier.
-            let tasks: Vec<usize> = split.chain_super_rows(p).to_vec();
-            if tasks.is_empty() {
-                continue;
-            }
-            let mut core_time = vec![0.0f64; cores];
-            let mut assignment = vec![0usize; tasks.len()];
-            {
-                let fetched = &mut fetched;
-                let mut task_cost = |sr: usize, slot: usize| -> f64 {
-                    let core = core_ids[slot];
-                    let mut cycles = 0.0;
-                    for i1 in s.super_row_rows(sr) {
-                        let (cols, _) = split.int_row(i1);
-                        if cols.is_empty() {
-                            continue;
-                        }
-                        // internal entries + the correction flop
-                        cycles += cols.len() as f64
-                            * (self.params.stream_cycles_per_nnz + self.params.flop_cycles)
-                            + self.params.flop_cycles;
-                        // The phase-1 value of row i1: line-granular reuse
-                        // from the core that gathered it (L1 if this core
-                        // already holds the line). The addresses are known
-                        // before the chain starts, so fetches overlap.
-                        let line_of_i = i1 / line;
-                        let p1 = phase1_slot[i1];
-                        if fetched[slot][line_of_i] == stamp || p1 == usize::MAX {
-                            cycles += lat.l1_cycles;
-                        } else {
-                            cycles +=
-                                lat.reuse_cycles(self.topology.distance(core, core_ids[p1])) / mlp;
-                        }
-                        fetched[slot][line_of_i] = stamp;
-                        // Chain reads stay inside the super-row: produced by
-                        // this worker (chain rows) or already fetched lines.
-                        cycles += cols.len() as f64 * lat.l1_cycles;
-                    }
-                    cycles
-                };
-                match schedule {
-                    Schedule::Static => {
-                        let m2 = tasks.len();
-                        for (t, a) in assignment.iter_mut().enumerate() {
-                            *a = t * cores / m2.max(1);
-                        }
-                        for (t, &slot) in assignment.iter().enumerate() {
-                            core_time[slot] += task_cost(tasks[t], slot);
-                        }
-                    }
-                    Schedule::Dynamic { chunk } | Schedule::Guided { min_chunk: chunk } => {
-                        let guided = matches!(schedule, Schedule::Guided { .. });
-                        let min_chunk = chunk.max(1);
-                        let m2 = tasks.len();
-                        let mut next = 0usize;
-                        while next < m2 {
-                            let size = if guided {
-                                ((m2 - next) / (2 * cores)).max(min_chunk)
-                            } else {
-                                min_chunk
-                            };
-                            let slot = (0..cores)
-                                .min_by(|&a, &b| core_time[a].total_cmp(&core_time[b]))
-                                .unwrap_or(0);
-                            core_time[slot] += self.params.dispatch_cycles;
-                            for t in next..(next + size).min(m2) {
-                                assignment[t] = slot;
-                                core_time[slot] += task_cost(tasks[t], slot);
-                            }
-                            next += size;
-                        }
-                    }
-                }
-            }
-            // Chain rows were corrected by their phase-2 core; that core is
-            // their producer for subsequent packs.
-            for (t, &slot) in assignment.iter().enumerate() {
-                let core = core_ids[slot];
-                for r in s.super_row_rows(tasks[t]) {
-                    if !split.int_row(r).0.is_empty() {
-                        producer_core[r] = core;
-                    }
-                }
-            }
-            compute_cycles += core_time.iter().copied().fold(0.0, f64::max);
-            sync_cycles += barrier; // pack barrier
-        }
-
-        let total = compute_cycles + sync_cycles;
-        SimReport {
-            total_cycles: total,
-            compute_cycles,
-            sync_cycles,
-            seconds: lat.cycles_to_seconds(total),
-            cores,
-            num_packs,
-        }
-    }
-
-    /// Simulates a full solve of `s` with the pack-pipelined engine
-    /// ([`SolveEngine::Pipelined`]): the same per-row costs as
-    /// [`SimulatedExecutor::simulate_split`], but the two per-pack barriers
-    /// are fused into per-pack completion flags, so the model tracks a clock
-    /// per core slot and lets a slot start the phase-1 gather of pack `p`
-    /// as soon as the packs its chunk actually reads
+    /// Simulates a full solve of `s` with the pack-pipelined orchestrator
+    /// every split-layout sweep runs
+    /// ([`ParallelSolver::solve_into`](crate::solver::parallel::ParallelSolver::solve_into)).
+    /// Per pack, a statically chunked external gather — charged at
+    /// streaming rates, with fetch latencies divided by
+    /// [`SimulationParams::gather_mlp`] because nothing serialises the
+    /// gather's reads — plus the diagonal scale, then the chain rows of the
+    /// internal slab. There are no per-pack barriers: the model tracks a
+    /// clock per core slot and lets a slot start the phase-1 gather of pack
+    /// `p` as soon as the packs its chunk actually reads
     /// ([`SplitLayout::range_ext_dep`](crate::split::SplitLayout::range_ext_dep))
     /// are done — overlapping it with other slots' phase 2 of earlier packs.
+    /// Phase-2 tasks are claimed one ticket at a time whatever the solver's
+    /// configured schedule, each claim paying the dispatch charge.
     ///
     /// The report separates the **critical path** (`compute_cycles`, the
     /// makespan of the overlapped schedule, including any readiness stalls
-    /// and the per-claim dispatch charge, which lands on the claiming slot's
-    /// clock exactly as `simulate_split` charges dispatch to core time) from
+    /// and the per-claim dispatch charge on the claiming slot's clock) from
     /// the **barrier-bound** cycles (`sync_cycles`): the pipelined kernel
-    /// pays one pool-completion barrier per solve instead of two full
-    /// barriers per chained pack — comparing `sync_cycles` against
-    /// `simulate_split`'s quantifies exactly the synchronisation the fusion
-    /// removed.
-    ///
-    /// [`SolveEngine::Pipelined`]: crate::options::SolveEngine::Pipelined
-    pub fn simulate_pipelined(
-        &self,
-        s: &StsStructure,
-        cores: usize,
-        schedule: SimSchedule,
-    ) -> SimReport {
-        // The kernel claims phase-2 tasks one ticket at a time whatever the
-        // configured schedule; `schedule` only matters through the cost
-        // model's dispatch charge, which the ticket counter pays per task.
-        let _ = schedule;
+    /// pays one pool-completion barrier per solve instead of one per pack —
+    /// comparing `sync_cycles` against [`SimulatedExecutor::simulate`]'s
+    /// quantifies the synchronisation the fusion removed.
+    pub fn simulate_pipelined(&self, s: &StsStructure, cores: usize) -> SimReport {
         let cores = cores.clamp(1, self.topology.total_cores());
         let core_ids = self.topology.compact_core_order(cores);
         let lat = &self.topology.latency;
@@ -576,8 +373,8 @@ impl SimulatedExecutor {
             done_time[p] = prev_done.max(pack_done);
         }
 
-        // One pool-completion barrier for the whole solve replaces the two
-        // per-pack barriers of the split kernel.
+        // One pool-completion barrier for the whole solve replaces the
+        // per-pack barriers of the unsplit kernel.
         sync_cycles += barrier;
         let makespan = slot_time.iter().copied().fold(0.0, f64::max);
         let total = makespan + sync_cycles;
@@ -942,48 +739,10 @@ mod tests {
     }
 
     #[test]
-    fn split_simulation_reports_consistent_components() {
-        let s = build(Method::Sts3);
-        let sim = SimulatedExecutor::new(NumaTopology::intel_westmere_ex_32());
-        let r = sim.simulate_split(&s, 16, Schedule::Guided { min_chunk: 1 });
-        assert!(r.total_cycles > 0.0);
-        assert!((r.total_cycles - (r.compute_cycles + r.sync_cycles)).abs() < 1e-6);
-        assert_eq!(r.num_packs, s.num_packs());
-        // Packs with external entries pay a phase barrier on top of the pack
-        // barrier; ext-free packs (at least the first) skip it.
-        let unsplit = sim.simulate(&s, 16, Schedule::Guided { min_chunk: 1 });
-        assert!(r.sync_cycles > unsplit.sync_cycles);
-        assert!(r.sync_cycles < 2.0 * unsplit.sync_cycles + 1e-6);
-    }
-
-    #[test]
-    fn split_kernel_shortens_the_modelled_critical_path() {
-        // The tentpole claim the model can check directly: taking the
-        // external gather out of the ordered phase shortens the per-pack
-        // critical paths (compute cycles). Whether *total* time wins depends
-        // on the extra phase barrier amortising against the pack's external
-        // volume — on the miniature test matrices the barrier often does not
-        // amortise, which is why the bench harness reports both numbers.
-        let sim = SimulatedExecutor::new(NumaTopology::intel_westmere_ex_32());
-        for method in [Method::Csr3Ls, Method::Sts3] {
-            let s = build(method);
-            let unsplit = sim.simulate(&s, 16, Schedule::Guided { min_chunk: 1 });
-            let split = sim.simulate_split(&s, 16, Schedule::Guided { min_chunk: 1 });
-            assert!(
-                split.compute_cycles < unsplit.compute_cycles,
-                "split critical path ({}) should be shorter than unsplit ({}) for {:?}",
-                split.compute_cycles,
-                unsplit.compute_cycles,
-                method
-            );
-        }
-    }
-
-    #[test]
     fn pipelined_simulation_reports_consistent_components() {
         let s = build(Method::Sts3);
         let sim = SimulatedExecutor::new(NumaTopology::intel_westmere_ex_32());
-        let r = sim.simulate_pipelined(&s, 16, Schedule::Guided { min_chunk: 1 });
+        let r = sim.simulate_pipelined(&s, 16);
         assert!(r.total_cycles > 0.0);
         assert!((r.total_cycles - (r.compute_cycles + r.sync_cycles)).abs() < 1e-6);
         assert_eq!(r.num_packs, s.num_packs());
@@ -994,26 +753,26 @@ mod tests {
     fn pipelining_removes_barrier_bound_cycles() {
         // The tentpole claim: fusing the per-pack barriers into completion
         // flags strips almost all barrier-bound cycles (one pool-completion
-        // barrier per solve remains) and the overlapped schedule's critical
-        // path never exceeds the barrier-synchronised one.
+        // barrier per solve remains) and the overlapped schedule beats the
+        // barrier-synchronised unsplit one.
         let sim = SimulatedExecutor::new(NumaTopology::intel_westmere_ex_32());
         for method in [Method::CsrLs, Method::Csr3Ls, Method::Sts3] {
             let s = build(method);
-            let split = sim.simulate_split(&s, 16, Schedule::Guided { min_chunk: 1 });
-            let piped = sim.simulate_pipelined(&s, 16, Schedule::Guided { min_chunk: 1 });
+            let unsplit = sim.simulate(&s, 16, Schedule::Guided { min_chunk: 1 });
+            let piped = sim.simulate_pipelined(&s, 16);
             assert!(
-                piped.sync_cycles < split.sync_cycles / 2.0,
-                "{:?}: pipelined sync {} should be far below split sync {}",
+                piped.sync_cycles < unsplit.sync_cycles / 2.0,
+                "{:?}: pipelined sync {} should be far below unsplit sync {}",
                 method,
                 piped.sync_cycles,
-                split.sync_cycles
+                unsplit.sync_cycles
             );
             assert!(
-                piped.total_cycles < split.total_cycles,
-                "{:?}: pipelined total {} should beat split total {}",
+                piped.total_cycles < unsplit.total_cycles,
+                "{:?}: pipelined total {} should beat unsplit total {}",
                 method,
                 piped.total_cycles,
-                split.total_cycles
+                unsplit.total_cycles
             );
         }
     }
@@ -1021,15 +780,15 @@ mod tests {
     #[test]
     fn pipelined_overlap_grows_with_pack_count() {
         // Level-set orderings chain hundreds of packs; that is where barrier
-        // fusion pays the most, so the ratio split/pipelined must be larger
+        // fusion pays the most, so the ratio unsplit/pipelined must be larger
         // for CSR-LS than for the coloring ordering with its few packs.
         let sim = SimulatedExecutor::new(NumaTopology::intel_westmere_ex_32());
         let ls = build(Method::CsrLs);
         let col = build(Method::CsrCol);
         let gain = |s: &StsStructure| {
-            let split = sim.simulate_split(s, 16, Schedule::Dynamic { chunk: 32 });
-            let piped = sim.simulate_pipelined(s, 16, Schedule::Dynamic { chunk: 32 });
-            split.total_cycles / piped.total_cycles
+            let unsplit = sim.simulate(s, 16, Schedule::Dynamic { chunk: 32 });
+            let piped = sim.simulate_pipelined(s, 16);
+            unsplit.total_cycles / piped.total_cycles
         };
         assert!(ls.num_packs() > col.num_packs());
         assert!(
@@ -1042,17 +801,8 @@ mod tests {
     fn pipelined_simulation_is_deterministic() {
         let s = build(Method::Csr3Ls);
         let sim = SimulatedExecutor::new(NumaTopology::amd_magny_cours_24());
-        let a = sim.simulate_pipelined(&s, 12, Schedule::Guided { min_chunk: 1 });
-        let b = sim.simulate_pipelined(&s, 12, Schedule::Guided { min_chunk: 1 });
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn split_simulation_is_deterministic() {
-        let s = build(Method::Csr3Ls);
-        let sim = SimulatedExecutor::new(NumaTopology::amd_magny_cours_24());
-        let a = sim.simulate_split(&s, 12, Schedule::Guided { min_chunk: 1 });
-        let b = sim.simulate_split(&s, 12, Schedule::Guided { min_chunk: 1 });
+        let a = sim.simulate_pipelined(&s, 12);
+        let b = sim.simulate_pipelined(&s, 12);
         assert_eq!(a, b);
     }
 

@@ -19,18 +19,18 @@
 //!   dependence chains, plus per-row readiness metadata for pack
 //!   pipelining. The transpose layout runs the packs in reverse order, so
 //!   preconditioner forward/backward sweep pairs both run on the parallel
-//!   engines;
+//!   orchestrator;
 //! * [`solver`] — the threaded pack-parallel solver: one front door
 //!   ([`ParallelSolver::solve_into`], with the allocating
-//!   [`ParallelSolver::solve_with`]) over the sequential, two-phase split
-//!   and pack-pipelined barrier-fused engines, the paper's unsplit baseline
+//!   [`ParallelSolver::solve_with`]) over one pack-pipelined, barrier-fused
+//!   orchestrator, the paper's unsplit baseline
 //!   ([`ParallelSolver::solve_unsplit`]), a schedule-only level-scheduled
 //!   solver for callers who cannot reorder their system, and the
 //!   level-scheduled parallel IC(0) construction
 //!   (`ParallelSolver::parallel_ic0`) that runs the preconditioner *setup*
 //!   over the same pack hierarchy and epoch-gate readiness scheme as the
 //!   solves;
-//! * [`options`] — the typed [`SolveOptions`] request (engine × direction ×
+//! * [`options`] — the typed [`SolveOptions`] request (direction ×
 //!   batch width × [`PrecisionPolicy`]) consumed by
 //!   [`ParallelSolver::solve_into`], and the [`SlabValue`]
 //!   abstraction behind the mixed-precision (f32-storage / f64-accumulation)
@@ -78,7 +78,7 @@ pub use csrk::StsStructure;
 pub use exec::simulated::{
     SimReport, SimSchedule, SimulatedExecutor, SimulationParams, SolveBytesModel,
 };
-pub use options::{PrecisionPolicy, SlabValue, SolveEngine, SolveOptions, SweepDirection};
-pub use solver::parallel::{ChaosHook, ParallelSolver, PipelinePlan};
+pub use options::{PrecisionPolicy, SlabValue, SolveOptions, SweepDirection};
+pub use solver::parallel::{batch_len, ChaosHook, ParallelSolver, PipelinePlan};
 pub use split::SplitLayout;
 pub use verify::{factor_spec, solve_spec};

@@ -1,10 +1,9 @@
-//! Typed solve options: the one place engine, direction, batch width, and
-//! numeric precision are selected.
+//! Typed solve options: the one place direction, batch width, and numeric
+//! precision are selected.
 //!
-//! A sweep is engine (sequential / split / pipelined) × direction
-//! (forward / transpose) × batch width × value-slab precision, and every
-//! combination has a kernel. [`SolveOptions`] carries all four axes as one
-//! typed request, consumed by the single front door
+//! A sweep is direction (forward / transpose) × batch width × value-slab
+//! precision, and every combination has a kernel. [`SolveOptions`] carries
+//! all three axes as one typed request, consumed by the single front door
 //! [`ParallelSolver::solve_into`](crate::solver::parallel::ParallelSolver::solve_into)
 //! (and its allocating wrapper
 //! [`ParallelSolver::solve_with`](crate::solver::parallel::ParallelSolver::solve_with)).
@@ -58,35 +57,6 @@ impl PrecisionPolicy {
     }
 }
 
-/// Which orchestrator runs a sweep on the split layout. All three run the
-/// same per-row arithmetic in the same order, so single-RHS results are
-/// bitwise identical across engines (see the solver module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SolveEngine {
-    /// Single-threaded two-phase sweep on the calling thread, no pool
-    /// involvement. Its batches run a lane-exact body: each right-hand side
-    /// is bitwise its own single-RHS sweep.
-    Sequential,
-    /// The two-phase split kernel (external gather, phase barrier, internal
-    /// chains) on the solver's pool.
-    Split,
-    /// The pack-pipelined kernel (barriers fused into an epoch gate) — the
-    /// paper's best engine and the default.
-    #[default]
-    Pipelined,
-}
-
-impl SolveEngine {
-    /// Diagnostic label.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SolveEngine::Sequential => "sequential",
-            SolveEngine::Split => "split",
-            SolveEngine::Pipelined => "pipelined",
-        }
-    }
-}
-
 /// Sweep direction: the lower-triangular system or its transpose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SweepDirection {
@@ -112,14 +82,13 @@ impl SweepDirection {
 /// [`ParallelSolver::solve_with`](crate::solver::parallel::ParallelSolver::solve_with)
 /// consumes it, and the Krylov / service layers thread it through unchanged.
 ///
-/// The default is the common case: pipelined engine, forward sweep, one
-/// right-hand side, full `f64` precision.
+/// The default is the common case: forward sweep, one right-hand side,
+/// full `f64` precision.
 ///
 /// ```
-/// use sts_core::{PrecisionPolicy, SolveEngine, SolveOptions, SweepDirection};
+/// use sts_core::{PrecisionPolicy, SolveOptions, SweepDirection};
 ///
 /// let opts = SolveOptions::default();
-/// assert_eq!(opts.engine, SolveEngine::Pipelined);
 /// assert_eq!(opts.direction, SweepDirection::Forward);
 /// assert_eq!(opts.nrhs, 1);
 /// assert_eq!(opts.precision, PrecisionPolicy::ValuesF64);
@@ -129,8 +98,6 @@ impl SweepDirection {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SolveOptions {
-    /// The engine to run.
-    pub engine: SolveEngine,
     /// Forward or transpose sweep.
     pub direction: SweepDirection,
     /// Number of interleaved right-hand sides (`b[i * nrhs + r]`); must be
@@ -143,7 +110,6 @@ pub struct SolveOptions {
 impl Default for SolveOptions {
     fn default() -> SolveOptions {
         SolveOptions {
-            engine: SolveEngine::default(),
             direction: SweepDirection::default(),
             nrhs: 1,
             precision: PrecisionPolicy::default(),
@@ -152,12 +118,6 @@ impl Default for SolveOptions {
 }
 
 impl SolveOptions {
-    /// `self` with a different engine.
-    pub fn with_engine(mut self, engine: SolveEngine) -> SolveOptions {
-        self.engine = engine;
-        self
-    }
-
     /// `self` with a different direction.
     pub fn with_direction(mut self, direction: SweepDirection) -> SolveOptions {
         self.direction = direction;
@@ -183,7 +143,7 @@ impl SolveOptions {
 /// happens in `f64` through [`SlabValue::to_f64`]. For `f64` the conversion
 /// is the identity and inlines away, so the monomorphized `f64` kernels are
 /// instruction-for-instruction the pre-generic kernels — the bitwise-parity
-/// invariants of the engine matrix are untouched. For `f32` the conversion
+/// invariants of the sweeps are untouched. For `f32` the conversion
 /// is the exact widening `as f64` (every `f32` is exactly representable in
 /// `f64`), so a mixed-precision sweep's only error is the slab's one-time
 /// storage rounding.
@@ -211,9 +171,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_the_full_precision_pipelined_single_solve() {
+    fn defaults_are_the_full_precision_forward_single_solve() {
         let opts = SolveOptions::default();
-        assert_eq!(opts.engine, SolveEngine::Pipelined);
         assert_eq!(opts.direction, SweepDirection::Forward);
         assert_eq!(opts.nrhs, 1);
         assert_eq!(opts.precision, PrecisionPolicy::ValuesF64);
@@ -222,11 +181,9 @@ mod tests {
     #[test]
     fn builder_style_setters_compose() {
         let opts = SolveOptions::default()
-            .with_engine(SolveEngine::Sequential)
             .with_direction(SweepDirection::Transpose)
             .with_nrhs(4)
             .with_precision(PrecisionPolicy::ValuesF32WithRefinement);
-        assert_eq!(opts.engine, SolveEngine::Sequential);
         assert_eq!(opts.direction, SweepDirection::Transpose);
         assert_eq!(opts.nrhs, 4);
         assert_eq!(opts.precision, PrecisionPolicy::ValuesF32WithRefinement);

@@ -52,6 +52,7 @@
 //! write.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::time::Instant;
@@ -67,6 +68,24 @@ use crate::options::SweepDirection;
 use crate::solver::parallel::{
     panic_message, pool_error_to_matrix, KernelFailure, ParallelSolver, SharedVec,
 };
+
+/// The row ranges of pack `p`'s factor chunks on `workers` workers: the
+/// pack's `nsr` super-rows split into `workers.min(nsr)` static blocks,
+/// chunk `c` owned by worker `c`. `parallel_ic0` runs these ranges and the
+/// schedule verifier ([`crate::verify::factor_spec`]) models them, so
+/// `workers = usize::MAX` gives super-row-granularity chunks.
+pub(crate) fn factor_chunks(
+    s: &StsStructure,
+    p: usize,
+    workers: usize,
+) -> impl Iterator<Item = Range<usize>> + '_ {
+    let srs = s.pack_super_rows(p);
+    let (first, nsr) = (srs.start, srs.len());
+    let nchunks = workers.max(1).min(nsr);
+    let index2 = s.index2();
+    (0..nchunks)
+        .map(move |c| index2[first + c * nsr / nchunks]..index2[first + (c + 1) * nsr / nchunks])
+}
 
 impl ParallelSolver {
     /// Zero-fill incomplete Cholesky of `a`, level-scheduled over `s`'s pack
@@ -153,25 +172,18 @@ impl ParallelSolver {
         // the preconditioner sweeps build anyway.
         let split = s.layout(SweepDirection::Forward);
         let num_packs = s.num_packs();
-        let index2 = s.index2();
-        let mut chunk_rows: Vec<std::ops::Range<usize>> = Vec::new();
+        let mut chunk_rows: Vec<Range<usize>> = Vec::new();
         let mut chunk_dep: Vec<u32> = Vec::new();
         let mut chunk_ptr = Vec::with_capacity(num_packs + 1);
         let mut counts = Vec::with_capacity(num_packs);
         chunk_ptr.push(0usize);
         for p in 0..num_packs {
-            let srs = s.pack_super_rows(p);
-            let nsr = srs.len();
-            let nchunks = workers.min(nsr);
-            for c in 0..nchunks {
-                let sr_lo = srs.start + c * nsr / nchunks;
-                let sr_hi = srs.start + (c + 1) * nsr / nchunks;
-                let rows = index2[sr_lo]..index2[sr_hi];
+            for rows in factor_chunks(s, p, workers) {
                 chunk_dep.push(split.range_ext_dep(rows.clone()));
                 chunk_rows.push(rows);
             }
+            counts.push((chunk_rows.len() - chunk_ptr[p], 0));
             chunk_ptr.push(chunk_rows.len());
-            counts.push((nchunks, 0));
         }
         let gate = EpochGate::new(&counts);
         // Per-worker-slot breakdown records (row, pivot bits); usize::MAX
@@ -423,10 +435,9 @@ mod tests {
         let w: Vec<f64> = (0..s.n()).map(|i| 1.0 - (i % 4) as f64 * 0.2).collect();
         let ftw = fs.lower().multiply_transpose(&w).unwrap();
         let r = fs.lower().multiply(&ftw).unwrap();
-        let seq = crate::options::SolveOptions::default()
-            .with_engine(crate::options::SolveEngine::Sequential);
-        let y = solver.solve_with(&fs, &r, &seq).unwrap();
-        let bwd = seq.with_direction(SweepDirection::Transpose);
+        let fwd = crate::options::SolveOptions::default();
+        let y = solver.solve_with(&fs, &r, &fwd).unwrap();
+        let bwd = fwd.with_direction(SweepDirection::Transpose);
         let z = solver.solve_with(&fs, &y, &bwd).unwrap();
         for (got, want) in z.iter().zip(&w) {
             assert!((got - want).abs() < 1e-10);

@@ -3,7 +3,7 @@
 //! # One front door
 //!
 //! Every sweep runs through [`ParallelSolver::solve_into`]: a
-//! [`SolveOptions`] request (engine × direction × batch width × value-slab
+//! [`SolveOptions`] request (direction × batch width × value-slab
 //! precision), a caller-held [`PipelinePlan`] built once per structure and
 //! direction by [`ParallelSolver::plan`], and caller-provided right-hand
 //! side and solution buffers. [`ParallelSolver::solve_with`] is the
@@ -15,9 +15,9 @@
 //! inter-pack barrier, and rows inside a super-row are solved sequentially
 //! by the owning worker.
 //!
-//! # Stages, rows and orchestrators
+//! # Stages, rows and the orchestrator
 //!
-//! The split engines run on a direction's [`SplitLayout`], which stores
+//! A sweep runs on its direction's [`SplitLayout`], which stores
 //! everything in **stage order**: stage `st` is pack `st` forward and pack
 //! `num_packs − 1 − st` for the transpose, with the chain tasks and the
 //! readiness metadata of each stage numbered the same way (the layout's
@@ -34,23 +34,16 @@
 //!    owns internal entries.
 //!
 //! The per-row arithmetic of both phases is written once, in two widths:
-//! the single-right-hand-side bodies, shared by all three engines, and the
-//! register-tiled multi-RHS bodies (`b[i * nrhs + r]`), shared by the split
-//! and pipelined engines. The sequential engine's batches run the
-//! lane-exact body instead, so each of their lanes is bitwise a scalar
-//! sweep. Three orchestrators walk the stages of the plan they are handed:
-//!
-//! * **sequential** — every stage's gather rows, then its chain rows, on the
-//!   calling thread;
-//! * **split** — per stage, one statically chunked pool dispatch for the
-//!   gather, a phase barrier, then the chain tasks under the solver's
-//!   configured schedule;
-//! * **pipelined** — one pool dispatch for the whole sweep, with the
-//!   barriers fused into an [`EpochGate`] (below).
-//!
-//! Because every engine runs the same bodies in the same per-row order,
-//! single-RHS solves are bitwise identical across engines and thread
-//! counts, and so are split and pipelined batches.
+//! the single-right-hand-side bodies and the multi-RHS bodies
+//! (`b[i * nrhs + r]`). The multi-RHS bodies accumulate every lane in the
+//! single-RHS bodies' floating-point order, so each lane of a batch is
+//! bitwise its own single-RHS sweep. One orchestrator, the **pipelined**
+//! one, walks the stages of the plan it is handed: one pool dispatch for
+//! the whole sweep, with the paper's per-pack barriers fused into an
+//! [`EpochGate`] (below). On one worker it runs the stages inline in
+//! program order (every stage's gather rows, then its chain rows) and
+//! touches no atomics. Because every row runs the same body in the same
+//! per-row order, results are bitwise identical across thread counts.
 //!
 //! # Data-race freedom
 //!
@@ -66,36 +59,19 @@
 //! * [`StsStructure::validate`] enforces exactly this dependency discipline at
 //!   construction time.
 //!
-//! The split engine shares `x` across an extra barrier per stage, and the
-//! argument extends as follows:
-//!
-//! * **phase 1** writes `x[i]` only for rows `i` of the current stage — each
-//!   row belongs to exactly one statically-assigned chunk, so each index has
-//!   one writer — and reads `x[j]` only through the external slab, whose
-//!   columns `j` lie in earlier stages and were finalized before the
-//!   previous stage's completion barrier;
-//! * the pool's completion of phase 1 is a barrier that publishes every
-//!   phase-1 write before phase 2 starts;
-//! * **phase 2** writes `x[i]` for the rows of exactly one super-row per
-//!   task and reads, besides those same rows, only phase-1 results of the
-//!   current stage (published by the phase barrier) through the internal
-//!   slab, whose columns stay inside the writer's own super-row (same
-//!   worker, program order).
-//!
 //! A multi-RHS row stands for its `nrhs` consecutive slots throughout.
 //!
-//! # The pipelined engine (barrier fusion)
+//! # The pipelined orchestrator (barrier fusion)
 //!
-//! The pipelined orchestrator runs the *same* bodies as the split one but
-//! fuses the two full-pool barriers per stage into an [`EpochGate`]: one
-//! pool dispatch covers the whole sweep, and workers coordinate through
-//! per-stage completion counters instead of barriers. The schedule per
-//! worker `w`:
+//! The pipelined orchestrator fuses the two full-pool barriers a
+//! two-phase stage would need into an [`EpochGate`]: one pool dispatch
+//! covers the whole sweep, and workers coordinate through per-stage
+//! completion counters instead of barriers. The schedule per worker `w`:
 //!
-//! * **phase 1** of stage `st` is statically chunked exactly as in the split
-//!   engine, and chunk `c` is *owned* by worker `c` — ownership is a
-//!   compile-time-static function of `(st, w)`, so no two workers ever
-//!   write the same row;
+//! * **phase 1** of stage `st` is statically chunked into the plan's row
+//!   ranges, and chunk `c` is *owned* by worker `c` — ownership is a
+//!   static function of `(st, w)`, so no two workers ever write the same
+//!   row;
 //! * a chunk does not wait for stage `st − 1`; it waits only until the
 //!   gate's epoch covers the chunk's precomputed readiness
 //!   ([`SplitLayout::range_ext_dep`] — the latest stage its external slab
@@ -111,7 +87,9 @@
 //! ## Memory-ordering argument (which flag publishes which `x` entries)
 //!
 //! Data-race freedom needs every read of `x[j]` to happen-after the write it
-//! observes. The gate provides exactly two publication edges:
+//! observes. Each row `i` is written by exactly one phase-1 chunk and, if it
+//! is a chain row, corrected by exactly one chain task. The gate provides
+//! exactly two publication edges:
 //!
 //! * **`is_open(d)` / `wait_open(d)`** (epoch ≥ `d`) happens-after *every*
 //!   arrival of stages `0..d` — both phases — via the release sequences on
@@ -137,14 +115,16 @@
 //!
 //! Iterative solvers apply these kernels thousands of times on one
 //! structure. A [`PipelinePlan`] holds the per-solve scheduling state (the
-//! stage → row-range binding, per-chunk readiness, gate arrival counts,
-//! phase-2 ticket counters); [`ParallelSolver::solve_into`] checks it
-//! against the structure, direction and thread count on every call and
-//! rewinds it via the gate's generation-stamped
-//! [`reset`](sts_numa::EpochGate::reset), so a solve performs **no heap
-//! allocation**. `&mut` on the plan is what makes the reset sound: the
-//! borrow checker guarantees no concurrent solve shares the scheduling
-//! state.
+//! stage → row-range binding, each stage's phase-1 chunk row ranges and
+//! their readiness, gate arrival counts, phase-2 ticket counters); the
+//! static schedule verifier reads its chunks from a plan built by the same
+//! constructor, so the proof covers the chunking the kernel runs.
+//! [`ParallelSolver::solve_into`] checks the plan against the structure,
+//! direction and thread count on every call and rewinds it via the gate's
+//! generation-stamped [`reset`](sts_numa::EpochGate::reset), so a solve
+//! performs **no heap allocation**. `&mut` on the plan is what makes the
+//! reset sound: the borrow checker guarantees no concurrent solve shares
+//! the scheduling state.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -159,7 +139,7 @@ use sts_trace::{Phase, SpanRecorder};
 use sts_verify::TaskKind;
 
 use crate::csrk::{Result, StsStructure};
-use crate::options::{PrecisionPolicy, SlabValue, SolveEngine, SolveOptions, SweepDirection};
+use crate::options::{PrecisionPolicy, SlabValue, SolveOptions, SweepDirection};
 use crate::split::SplitLayout;
 
 /// Maps a pool-level failure into the matrix error taxonomy the solver
@@ -176,6 +156,15 @@ pub(crate) fn pool_error_to_matrix(e: PoolError) -> MatrixError {
             message,
         },
     }
+}
+
+/// `n · nrhs`, the length of an interleaved batch; an overflowing product
+/// is a [`MatrixError::DimensionMismatch`], caught before any allocation or
+/// dispatch.
+pub fn batch_len(n: usize, nrhs: usize) -> Result<usize> {
+    n.checked_mul(nrhs).ok_or_else(|| {
+        MatrixError::DimensionMismatch(format!("n * nrhs overflows: n = {n}, nrhs = {nrhs}"))
+    })
 }
 
 /// Stringifies a caught panic payload for error reporting.
@@ -387,12 +376,9 @@ impl ParallelSolver {
     /// installed-but-disabled recorder costs one `Option` check per kernel
     /// dispatch (`bench_smoke` measures this configuration and the CI gate
     /// bounds it below 2% of a PCG solve). The `worker` field of a span is
-    /// the pool slot for the pipelined engine and the static phase-1
-    /// chunks; for the split engine's dynamically scheduled phase 2 it
-    /// carries the chain-task index instead (the pool does not expose which
-    /// slot claimed a task). The `pack` field is the *stage* index:
-    /// identical to the pack for forward sweeps, reversed for transpose
-    /// sweeps. The sequential engine records no spans.
+    /// the pool slot that ran it (0 on a single-worker pool). The `pack`
+    /// field is the *stage* index: identical to the pack for forward
+    /// sweeps, reversed for transpose sweeps.
     pub fn set_trace_recorder(&mut self, recorder: Option<Arc<SpanRecorder>>) {
         self.trace = recorder;
     }
@@ -475,54 +461,21 @@ impl ParallelSolver {
     /// (`workers.min(m)` row blocks) with their readiness, the chain-task
     /// counts, the epoch gate and the ticket counters. One O(n) sweep over
     /// the readiness metadata, forcing the direction's lazy layout. Build it
-    /// once per structure and direction: every engine and batch width
+    /// once per structure and direction: every batch width and precision
     /// shares it, and [`ParallelSolver::solve_into`] rewinds it between
     /// solves at no allocation cost.
     pub fn plan(&self, s: &StsStructure, direction: SweepDirection) -> PipelinePlan {
-        let layout = s.layout(direction);
-        let workers = self.pool.num_threads();
-        let num_stages = layout.num_stages();
-        let mut stage_rows = Vec::with_capacity(num_stages);
-        let mut ntasks = Vec::with_capacity(num_stages);
-        let mut counts = Vec::with_capacity(num_stages);
-        let mut chunk_ptr = Vec::with_capacity(num_stages + 1);
-        let mut chunk_dep: Vec<u32> = Vec::new();
-        chunk_ptr.push(0usize);
-        for st in 0..num_stages {
-            let rows = layout.stage_rows(st);
-            let m = rows.len();
-            let nchunks = workers.min(m);
-            for c in 0..nchunks {
-                let chunk = rows.start + c * m / nchunks..rows.start + (c + 1) * m / nchunks;
-                chunk_dep.push(layout.range_ext_dep(chunk));
-            }
-            chunk_ptr.push(chunk_dep.len());
-            let nt = layout.chain_super_rows(st).len();
-            counts.push((nchunks, nt));
-            ntasks.push(nt);
-            stage_rows.push(rows);
-        }
-        PipelinePlan {
-            direction,
-            n: s.n(),
-            threads: workers,
-            stage_rows,
-            ntasks,
-            chunk_ptr,
-            chunk_dep,
-            gate: EpochGate::new(&counts),
-            tickets: (0..num_stages).map(|_| AtomicUsize::new(0)).collect(),
-        }
+        PipelinePlan::new(s, direction, self.pool.num_threads())
     }
 
     /// Checks that a plan was built by this solver for this structure and
     /// direction. Dimensions, stage → row-range bindings and chain-task
     /// counts are verified on every call (O(num_packs)), because a stale
     /// plan would hand the gather closures row ranges that race the
-    /// structure's own chain tasks through [`SharedVec`]; the per-chunk
-    /// readiness values — a pure function of the (already matched) pack
-    /// boundaries and the operand's pattern — are re-derived and compared in
-    /// debug builds.
+    /// structure's own chain tasks through [`SharedVec`]; the phase-1 chunk
+    /// ranges and their readiness values — pure functions of the (already
+    /// matched) pack boundaries, the thread count and the operand's
+    /// pattern — are re-derived and compared in debug builds.
     fn check_plan(
         &self,
         s: &StsStructure,
@@ -558,8 +511,9 @@ impl ParallelSolver {
         {
             let fresh = self.plan(s, direction);
             debug_assert_eq!(
-                fresh.chunk_dep, plan.chunk_dep,
-                "plan readiness metadata is stale for this structure"
+                (&fresh.chunk_ptr, &fresh.chunk_rows, &fresh.chunk_dep),
+                (&plan.chunk_ptr, &plan.chunk_rows, &plan.chunk_dep),
+                "plan chunk ranges or readiness metadata are stale for this structure"
             );
         }
         Ok(())
@@ -570,13 +524,12 @@ impl ParallelSolver {
     /// front door of every split-layout sweep, and the hot path of
     /// iterative solvers (no heap allocation).
     ///
-    /// The request selects the engine ([`SolveEngine`]), sweep direction
-    /// ([`SweepDirection`]), batch width (`nrhs`, interleaved layout
-    /// `b[i * nrhs + r]`) and value-slab precision ([`PrecisionPolicy`]);
-    /// every combination has a kernel. `plan` must come from
-    /// [`ParallelSolver::plan`] on this solver, for `s` and
-    /// `opts.direction`; the check runs for every engine, because the same
-    /// plan must stay valid whichever engine a caller switches to.
+    /// The request selects the sweep direction ([`SweepDirection`]), batch
+    /// width (`nrhs`, interleaved layout `b[i * nrhs + r]`) and value-slab
+    /// precision ([`PrecisionPolicy`]); every combination has a kernel, and
+    /// each lane of a batch is bitwise its own single-RHS solve. `plan`
+    /// must come from [`ParallelSolver::plan`] on this solver, for `s` and
+    /// `opts.direction`.
     ///
     /// Mixed-precision requests ([`PrecisionPolicy::ValuesF32WithRefinement`])
     /// read the lazily demoted f32 value slabs but accumulate every partial
@@ -588,11 +541,12 @@ impl ParallelSolver {
     ///
     /// # Errors
     ///
-    /// `nrhs == 0`, or `b`/`x` lengths other than `n * nrhs`, return
+    /// `nrhs == 0`, an `n * nrhs` that overflows `usize`, or `b`/`x`
+    /// lengths other than `n * nrhs`, return
     /// [`MatrixError::DimensionMismatch`]; a plan built for another
     /// structure, direction or thread count returns
-    /// [`MatrixError::InvalidParameter`]. The pipelined engine adds the
-    /// failure modes of its watchdog (see [`ParallelSolver::set_watchdog`]).
+    /// [`MatrixError::InvalidParameter`]. Multi-worker solves add the
+    /// failure modes of the watchdog (see [`ParallelSolver::set_watchdog`]).
     pub fn solve_into(
         &self,
         s: &StsStructure,
@@ -607,10 +561,10 @@ impl ParallelSolver {
                 "a solve needs at least one right-hand side".into(),
             ));
         }
-        if b.len() != s.n() * nrhs || x.len() != s.n() * nrhs {
+        let len = batch_len(s.n(), nrhs)?;
+        if b.len() != len || x.len() != len {
             return Err(MatrixError::DimensionMismatch(format!(
-                "B and X must both have length n * nrhs = {}, got {} and {}",
-                s.n() * nrhs,
+                "B and X must both have length n * nrhs = {len}, got {} and {}",
                 b.len(),
                 x.len()
             )));
@@ -620,11 +574,11 @@ impl ParallelSolver {
         match opts.precision {
             PrecisionPolicy::ValuesF64 => {
                 let (evals, ivals) = (layout.ext_vals(), layout.int_vals());
-                self.sweep(opts.engine, plan, layout, evals, ivals, b, x, nrhs)
+                self.sweep(plan, layout, evals, ivals, b, x, nrhs)
             }
             PrecisionPolicy::ValuesF32WithRefinement => {
                 let (evals, ivals) = (layout.ext_vals_f32(), layout.int_vals_f32());
-                self.sweep(opts.engine, plan, layout, evals, ivals, b, x, nrhs)
+                self.sweep(plan, layout, evals, ivals, b, x, nrhs)
             }
         }
     }
@@ -639,12 +593,11 @@ impl ParallelSolver {
         Ok(x)
     }
 
-    /// Binds the row bodies of one sweep to its engine's orchestrator,
-    /// generic over the value-slab precision.
+    /// Binds the row bodies of one sweep — single-RHS or multi-RHS — to the
+    /// pipelined orchestrator, generic over the value-slab precision.
     #[allow(clippy::too_many_arguments)]
     fn sweep<V: SlabValue>(
         &self,
-        engine: SolveEngine,
         plan: &mut PipelinePlan,
         layout: &SplitLayout,
         evals: &[V],
@@ -653,128 +606,34 @@ impl ParallelSolver {
         x: &mut [f64],
         nrhs: usize,
     ) -> Result<()> {
-        let (erp, ecols) = (layout.ext_row_ptr(), layout.ext_cols());
-        let (irp, icols) = (layout.int_row_ptr(), layout.int_cols());
-        let inv_diag = layout.inv_diags();
-        if engine == SolveEngine::Sequential && nrhs > 1 {
-            run_sequential(layout, |i, gather| {
-                let (rp, cols, vals) = if gather {
-                    (erp, ecols, evals)
-                } else {
-                    (irp, icols, ivals)
-                };
-                let r = rp[i]..rp[i + 1];
-                let bi = gather.then_some(b);
-                batch_row_update(bi, x, i, &cols[r.clone()], &vals[r], inv_diag[i], nrhs);
-            });
-            return Ok(());
-        }
         let rows = RowBodies {
             solver: self,
-            erp,
-            ecols,
+            erp: layout.ext_row_ptr(),
+            ecols: layout.ext_cols(),
             evals,
-            irp,
-            icols,
+            irp: layout.int_row_ptr(),
+            icols: layout.int_cols(),
             ivals,
-            inv_diag,
+            inv_diag: layout.inv_diags(),
             b,
             x: SharedVec::new(x),
             nrhs,
         };
-        match (engine, nrhs) {
-            (SolveEngine::Sequential, _) => {
-                run_sequential(layout, |i, gather| {
-                    if gather {
-                        rows.gather(i)
-                    } else {
-                        rows.chain(i)
-                    }
-                });
-                Ok(())
-            }
-            (_, 1) => {
-                self.run_parallel(engine, plan, layout, |i| rows.gather(i), |i| rows.chain(i))
-            }
-            _ => self.run_parallel(
-                engine,
+        let chain_rows =
+            |st: usize, t: usize| layout.chain_rows_of(st, t).iter().map(|&i| i as usize);
+        if nrhs == 1 {
+            self.run_pipelined(
                 plan,
-                layout,
-                |i| rows.gather_tile(i),
-                |i| rows.chain_tile(i),
-            ),
-        }
-    }
-
-    /// Runs a split or pipelined sweep: `gather_row` / `chain_row` are the
-    /// per-row phase-1 / phase-2 bodies, monomorphized into the range and
-    /// task closures the orchestrators dispatch.
-    fn run_parallel(
-        &self,
-        engine: SolveEngine,
-        plan: &mut PipelinePlan,
-        layout: &SplitLayout,
-        gather_row: impl Fn(usize) + Sync,
-        chain_row: impl Fn(usize) + Sync,
-    ) -> Result<()> {
-        let gather = |rows: Range<usize>| rows.for_each(&gather_row);
-        let chain = |st: usize, t: usize| {
-            for &i in layout.chain_rows_of(st, t) {
-                chain_row(i as usize);
-            }
-        };
-        if engine == SolveEngine::Split {
-            self.run_split(plan, &gather, &chain)
+                &|r: Range<usize>| r.for_each(|i| rows.gather(i)),
+                &|st, t| chain_rows(st, t).for_each(|i| rows.chain(i)),
+            )
         } else {
-            self.run_pipelined(plan, &gather, &chain)
+            self.run_pipelined(
+                plan,
+                &|r: Range<usize>| r.for_each(|i| rows.gather_batch(i)),
+                &|st, t| chain_rows(st, t).for_each(|i| rows.chain_batch(i)),
+            )
         }
-    }
-
-    /// The split orchestrator: per stage, one statically chunked pool
-    /// dispatch of the phase-1 gather (chunk `c` of the plan's
-    /// `workers.min(m)` row blocks), the dispatch's completion barrier, then
-    /// the stage's chain tasks under the solver's configured schedule.
-    /// Chain-free stages skip phase 2 and its barrier entirely.
-    fn run_split(
-        &self,
-        plan: &PipelinePlan,
-        gather: &(dyn Fn(Range<usize>) + Sync),
-        chain: &(dyn Fn(usize, usize) + Sync),
-    ) -> Result<()> {
-        let rec = self.active_recorder();
-        for st in 0..plan.num_stages() {
-            let rows = plan.stage_rows[st].clone();
-            let m = rows.len();
-            let nchunks = plan.chunk_ptr[st + 1] - plan.chunk_ptr[st];
-            self.pool
-                .parallel_for(nchunks, Schedule::Static, &|c| {
-                    let t0 = rec.map(|r| r.now_ns());
-                    gather(rows.start + c * m / nchunks..rows.start + (c + 1) * m / nchunks);
-                    if let Some(r) = rec {
-                        let t1 = r.now_ns();
-                        r.record(c as u32, st as u32, Phase::Gather, t0.unwrap_or(0), t1);
-                    }
-                })
-                .map_err(pool_error_to_matrix)?;
-            let ntasks = plan.ntasks[st];
-            if ntasks == 0 {
-                continue;
-            }
-            self.pool
-                .parallel_for(ntasks, self.schedule, &|t| {
-                    let t0 = rec.map(|r| r.now_ns());
-                    chain(st, t);
-                    if let Some(r) = rec {
-                        // The pool does not expose which slot claimed a
-                        // dynamically scheduled task, so the worker field
-                        // carries the chain-task index here.
-                        let t1 = r.now_ns();
-                        r.record(t as u32, st as u32, Phase::Chain, t0.unwrap_or(0), t1);
-                    }
-                })
-                .map_err(pool_error_to_matrix)?;
-        }
-        Ok(())
     }
 
     /// Solves the reordered system `L' x' = b'` with the paper's unsplit
@@ -782,8 +641,8 @@ impl ParallelSolver {
     /// super-rows under the configured schedule, each row walking its full
     /// CSR row, with the dispatch's completion as the barrier between
     /// packs. Forward, single right-hand side, `f64` only; it needs no
-    /// split layout. Kept as the documented baseline the split engines are
-    /// measured against.
+    /// split layout. Kept as the documented baseline the split-layout sweep
+    /// is measured against.
     pub fn solve_unsplit(&self, s: &StsStructure, b: &[f64]) -> Result<Vec<f64>> {
         if b.len() != s.n() {
             return Err(MatrixError::DimensionMismatch(format!(
@@ -881,7 +740,8 @@ impl ParallelSolver {
                 "spmv_batch_into needs at least one right-hand side".into(),
             ));
         }
-        if x.len() != a.ncols() * nrhs || y.len() != a.nrows() * nrhs {
+        let (xlen, ylen) = (batch_len(a.ncols(), nrhs)?, batch_len(a.nrows(), nrhs)?);
+        if x.len() != xlen || y.len() != ylen {
             return Err(MatrixError::DimensionMismatch(
                 "x/y lengths must match the matrix dimensions times nrhs".into(),
             ));
@@ -1001,9 +861,9 @@ impl ParallelSolver {
         // gate was poisoned (or this wait timed out and poisoned it) and the
         // worker must unwind its loop.
         let run_chunk = |w: usize, st: usize, blocking: bool, current: &Cell<usize>| -> ChunkStep {
-            let nchunks = plan.chunk_ptr[st + 1] - plan.chunk_ptr[st];
-            if w < nchunks {
-                let dep = plan.chunk_dep[plan.chunk_ptr[st] + w] as usize;
+            let (chunks, deps) = plan.stage_chunks(st);
+            if let (Some(rows), Some(&dep)) = (chunks.get(w), deps.get(w)) {
+                let dep = dep as usize;
                 if blocking {
                     let t0 = rec.map(|r| r.now_ns());
                     let wait = plan.gate.wait_open_until(dep, deadline);
@@ -1034,10 +894,8 @@ impl ParallelSolver {
                 if let Some(hook) = &self.chaos {
                     hook(w, st);
                 }
-                let rows = plan.stage_rows[st].clone();
-                let m = rows.len();
                 let t0 = rec.map(|r| r.now_ns());
-                gather(rows.start + w * m / nchunks..rows.start + (w + 1) * m / nchunks);
+                gather(rows.clone());
                 if let Some(r) = rec {
                     r.record(
                         w as u32,
@@ -1137,25 +995,9 @@ impl ParallelSolver {
     }
 }
 
-/// The sequential orchestrator: every stage's phase-1 rows in order, then
-/// its chain tasks' rows, on the calling thread — `row(i, true)` gathers row
-/// `i`, `row(i, false)` applies its chain correction.
-fn run_sequential(layout: &SplitLayout, mut row: impl FnMut(usize, bool)) {
-    for st in 0..layout.num_stages() {
-        for i in layout.stage_rows(st) {
-            row(i, true);
-        }
-        for t in 0..layout.chain_super_rows(st).len() {
-            for &i in layout.chain_rows_of(st, t) {
-                row(i as usize, false);
-            }
-        }
-    }
-}
-
-/// The per-row arithmetic of one sweep, written once and shared by the
-/// orchestrators: the external-gather and chain bodies for one right-hand
-/// side, and their register-tiled multi-RHS counterparts. Every body
+/// The per-row arithmetic of one sweep, written once: the external-gather
+/// and chain bodies for one right-hand side, and their multi-RHS
+/// counterparts in the same per-lane arithmetic order. Every body
 /// records the row it produced into the race-shadow log (a no-op without
 /// the `race-shadow` feature). The aliasing discipline on `x` is the module
 /// docs' (a multi-RHS row stands for its `nrhs` consecutive slots).
@@ -1183,8 +1025,8 @@ impl<V: SlabValue> RowBodies<'_, V> {
         let mut acc = 0.0;
         for k in erp[i1]..erp[i1 + 1] {
             // SAFETY: external columns lie in earlier stages, finalized and
-            // published before this row's gather runs (phase barrier,
-            // readiness wait, or program order).
+            // published before this row's gather runs (readiness wait, or
+            // program order on one worker).
             acc += evals[k].to_f64() * unsafe { self.x.read(ecols[k] as usize) };
         }
         // SAFETY: row i1 is written by exactly one phase-1 chunk.
@@ -1204,11 +1046,11 @@ impl<V: SlabValue> RowBodies<'_, V> {
         for k in irp[i1]..irp[i1 + 1] {
             // SAFETY: internal columns stay inside this super-row — written
             // earlier by this task if they are chain rows, published by the
-            // phase barrier or drained flag otherwise.
+            // drained flag (or program order) otherwise.
             acc += ivals[k].to_f64() * unsafe { self.x.read(icols[k] as usize) };
         }
         // SAFETY: row i1 belongs to exactly one chain task; its phase-1
-        // value was published by the phase barrier or drained flag.
+        // value was published by the drained flag (or program order).
         let partial = unsafe { self.x.read(i1) };
         // SAFETY: as above, this task is the row's only writer.
         unsafe { self.x.write(i1, partial - acc * self.inv_diag[i1]) };
@@ -1224,30 +1066,32 @@ impl<V: SlabValue> RowBodies<'_, V> {
         );
     }
 
-    /// Multi-RHS [`RowBodies::gather`]: each row's partial sums accumulate
-    /// in a stack tile of up to [`TILE`] right-hand sides (registers, no
-    /// round-trips through the shared pointer) and are written back once;
-    /// wider batches take further passes over the row.
+    /// Multi-RHS [`RowBodies::gather`]: for every right-hand side `q`,
+    /// `acc[q] = Σ_k v_k · x[j_k, q]` accumulates from zero in slab order and
+    /// `x[i, q] = (b[i, q] − acc[q]) · d_i` — the single-RHS body's
+    /// floating-point sequence, so each lane is bitwise its own single-RHS
+    /// sweep. The lanes run in blocks of up to [`TILE`] stack accumulators,
+    /// so each `(col, val)` load is amortised over the block.
     #[inline]
-    fn gather_tile(&self, i1: usize) {
+    fn gather_batch(&self, i1: usize) {
         let (erp, ecols, evals, nrhs) = (self.erp, self.ecols, self.evals, self.nrhs);
         let base = i1 * nrhs;
         let d = self.inv_diag[i1];
-        for r0 in (0..nrhs).step_by(TILE) {
-            let w = TILE.min(nrhs - r0);
+        for q0 in (0..nrhs).step_by(TILE) {
+            let w = TILE.min(nrhs - q0);
             let mut acc = [0.0f64; TILE];
-            acc[..w].copy_from_slice(&self.b[base + r0..base + r0 + w]);
             for k in erp[i1]..erp[i1 + 1] {
-                let (j, v) = (ecols[k] as usize, evals[k].to_f64());
-                for (r, a) in acc[..w].iter_mut().enumerate() {
+                let (j, v) = (ecols[k] as usize * nrhs + q0, evals[k].to_f64());
+                for (q, a) in acc[..w].iter_mut().enumerate() {
                     // SAFETY: as in `gather`, reads target earlier stages.
-                    *a -= v * unsafe { self.x.read(j * nrhs + r0 + r) };
+                    *a += v * unsafe { self.x.read(j + q) };
                 }
             }
-            for (r, a) in acc[..w].iter().enumerate() {
+            for (q, a) in acc[..w].iter().enumerate() {
+                let slot = base + q0 + q;
                 // SAFETY: the nrhs slots of row i1 have exactly one phase-1
                 // writer (this chunk).
-                unsafe { self.x.write(base + r0 + r, a * d) };
+                unsafe { self.x.write(slot, (self.b[slot] - a) * d) };
             }
         }
         self.solver.shadow_record(
@@ -1257,34 +1101,33 @@ impl<V: SlabValue> RowBodies<'_, V> {
         );
     }
 
-    /// Multi-RHS [`RowBodies::chain`], tiled like
-    /// [`RowBodies::gather_tile`].
+    /// Multi-RHS [`RowBodies::chain`]: `x[i, q] −= acc[q] · d_i` with
+    /// `acc[q]` accumulated as in [`RowBodies::gather_batch`], so each lane
+    /// is again bitwise its single-RHS sweep.
     #[inline]
-    fn chain_tile(&self, i1: usize) {
+    fn chain_batch(&self, i1: usize) {
         let (irp, icols, ivals, nrhs) = (self.irp, self.icols, self.ivals, self.nrhs);
         let base = i1 * nrhs;
         let d = self.inv_diag[i1];
-        for r0 in (0..nrhs).step_by(TILE) {
-            let w = TILE.min(nrhs - r0);
+        for q0 in (0..nrhs).step_by(TILE) {
+            let w = TILE.min(nrhs - q0);
             let mut acc = [0.0f64; TILE];
-            for (r, a) in acc[..w].iter_mut().enumerate() {
-                // SAFETY: row i1 belongs to exactly one chain task; its
-                // phase-1 values were published by the phase barrier or
-                // drained flag.
-                *a = unsafe { self.x.read(base + r0 + r) };
-            }
             for k in irp[i1]..irp[i1 + 1] {
-                let (j, v) = (icols[k] as usize, ivals[k].to_f64());
-                let vd = v * d;
-                for (r, a) in acc[..w].iter_mut().enumerate() {
+                let (j, v) = (icols[k] as usize * nrhs + q0, ivals[k].to_f64());
+                for (q, a) in acc[..w].iter_mut().enumerate() {
                     // SAFETY: same-super-row reads — this task's earlier
-                    // writes, or published phase-1 results.
-                    *a -= vd * unsafe { self.x.read(j * nrhs + r0 + r) };
+                    // writes, or phase-1 results published by the drained
+                    // flag.
+                    *a += v * unsafe { self.x.read(j + q) };
                 }
             }
-            for (r, a) in acc[..w].iter().enumerate() {
-                // SAFETY: row i1 is owned by this chain task.
-                unsafe { self.x.write(base + r0 + r, *a) };
+            for (q, a) in acc[..w].iter().enumerate() {
+                let slot = base + q0 + q;
+                // SAFETY: row i1 belongs to exactly one chain task; its
+                // phase-1 values were published by the drained flag.
+                let partial = unsafe { self.x.read(slot) };
+                // SAFETY: as above, this task is the row's only writer.
+                unsafe { self.x.write(slot, partial - a * d) };
             }
         }
         self.solver.shadow_record(
@@ -1309,69 +1152,21 @@ enum ChunkStep {
     Bail,
 }
 
-/// Register-tile width of the multi-RHS kernels: partial sums for up to this
-/// many right-hand sides accumulate in a stack tile per row, so each
-/// `(col, val)` load is amortised without round-trips through the shared
-/// pointer.
+/// Right-hand sides per block of stack accumulators in the multi-RHS
+/// kernels: wide enough that typical batches (4–8 RHS) stream the
+/// column/value slabs exactly once, small enough to stay in registers.
 const TILE: usize = 8;
 
-/// Right-hand sides processed per stack accumulator block by the sequential
-/// engine's batches — wide enough that typical batches (4–8 RHS) stream the
-/// column/value slabs exactly once, small enough to stay in registers.
-const BATCH_CHUNK: usize = 8;
-
-/// One row of a sequential batched sweep, for every right-hand side, in
-/// chunks of [`BATCH_CHUNK`]: accumulates `acc[q] = Σ_k vals[k] ·
-/// x[cols[k], q]` in slab order (the *same* floating-point sequence as the
-/// single-RHS bodies, so each lane is bitwise identical to a standalone
-/// solve) and then applies either the phase-1 external update
-/// `x[i, q] = (b[i, q] − acc[q]) · d` (when `b` is provided) or the phase-2
-/// chain update `x[i, q] −= acc[q] · d` (when it is not).
-#[inline]
-fn batch_row_update<V: SlabValue>(
-    b: Option<&[f64]>,
-    x: &mut [f64],
-    i1: usize,
-    cols: &[u32],
-    vals: &[V],
-    d: f64,
-    nrhs: usize,
-) {
-    let mut q0 = 0;
-    while q0 < nrhs {
-        let width = (nrhs - q0).min(BATCH_CHUNK);
-        let mut acc = [0.0f64; BATCH_CHUNK];
-        for (&j, &v) in cols.iter().zip(vals) {
-            let v = v.to_f64();
-            let xj = &x[j as usize * nrhs + q0..];
-            for (a, &xq) in acc[..width].iter_mut().zip(&xj[..width]) {
-                *a += v * xq;
-            }
-        }
-        let row = &mut x[i1 * nrhs + q0..i1 * nrhs + q0 + width];
-        if let Some(b) = b {
-            let bi = &b[i1 * nrhs + q0..];
-            for ((xv, &a), &bq) in row.iter_mut().zip(&acc[..width]).zip(bi) {
-                *xv = (bq - a) * d;
-            }
-        } else {
-            for (xv, &a) in row.iter_mut().zip(&acc[..width]) {
-                *xv -= a * d;
-            }
-        }
-        q0 += width;
-    }
-}
-
 /// The reusable per-structure scheduling state of the split-layout sweeps:
-/// the stage → row-range binding of one direction's layout, per-chunk
-/// readiness, gate arrival counts, and the phase-2 ticket counters. Built by
-/// [`ParallelSolver::plan`] once per structure and direction, rewound —
-/// never reallocated — by every pipelined [`ParallelSolver::solve_into`]
-/// call, so repeated solves on one structure are allocation-free.
+/// the stage → row-range binding of one direction's layout, each stage's
+/// phase-1 chunk row ranges and their readiness, gate arrival counts, and
+/// the phase-2 ticket counters. Built by [`ParallelSolver::plan`] once per
+/// structure and direction, rewound — never reallocated — by every
+/// [`ParallelSolver::solve_into`] call, so repeated solves on one structure
+/// are allocation-free.
 ///
 /// A plan is tied to the (structure, direction, thread count) it was built
-/// for; [`ParallelSolver::solve_into`] rejects mismatches for every engine.
+/// for; [`ParallelSolver::solve_into`] rejects mismatches.
 #[derive(Debug)]
 pub struct PipelinePlan {
     /// The direction of the layout the plan was built from.
@@ -1385,8 +1180,12 @@ pub struct PipelinePlan {
     stage_rows: Vec<Range<usize>>,
     /// Chain tasks per stage.
     ntasks: Vec<usize>,
-    /// Stage pointer into `chunk_dep` (`num_stages + 1` entries).
+    /// Stage pointer into `chunk_rows` / `chunk_dep` (`num_stages + 1`
+    /// entries).
     chunk_ptr: Vec<usize>,
+    /// The row range of every phase-1 chunk, stage by stage; chunk `c` of a
+    /// stage is owned by worker `c`.
+    chunk_rows: Vec<Range<usize>>,
     /// Per-chunk readiness in stage numbering.
     chunk_dep: Vec<u32>,
     /// The resettable epoch gate coordinating the stages.
@@ -1396,6 +1195,60 @@ pub struct PipelinePlan {
 }
 
 impl PipelinePlan {
+    /// The one constructor of a plan for sweeps of `s` in `direction` on
+    /// `workers` workers: stage `st`'s `m` rows split into
+    /// `nchunks = workers.min(m)` static chunks
+    /// `rows.start + c·m/nchunks .. rows.start + (c + 1)·m/nchunks`, each
+    /// with its readiness ([`SplitLayout::range_ext_dep`]). The kernels run
+    /// these ranges and the schedule verifier models them, so
+    /// `workers = usize::MAX` gives the verifier's row-granularity chunks.
+    pub(crate) fn new(s: &StsStructure, direction: SweepDirection, workers: usize) -> PipelinePlan {
+        let layout = s.layout(direction);
+        let workers = workers.max(1);
+        let num_stages = layout.num_stages();
+        let mut stage_rows = Vec::with_capacity(num_stages);
+        let mut ntasks = Vec::with_capacity(num_stages);
+        let mut counts = Vec::with_capacity(num_stages);
+        let mut chunk_ptr = Vec::with_capacity(num_stages + 1);
+        let mut chunk_rows = Vec::new();
+        let mut chunk_dep: Vec<u32> = Vec::new();
+        chunk_ptr.push(0usize);
+        for st in 0..num_stages {
+            let rows = layout.stage_rows(st);
+            let m = rows.len();
+            let nchunks = workers.min(m);
+            for c in 0..nchunks {
+                let chunk = rows.start + c * m / nchunks..rows.start + (c + 1) * m / nchunks;
+                chunk_dep.push(layout.range_ext_dep(chunk.clone()));
+                chunk_rows.push(chunk);
+            }
+            chunk_ptr.push(chunk_rows.len());
+            let nt = layout.chain_super_rows(st).len();
+            counts.push((nchunks, nt));
+            ntasks.push(nt);
+            stage_rows.push(rows);
+        }
+        PipelinePlan {
+            direction,
+            n: s.n(),
+            threads: workers,
+            stage_rows,
+            ntasks,
+            chunk_ptr,
+            chunk_rows,
+            chunk_dep,
+            gate: EpochGate::new(&counts),
+            tickets: (0..num_stages).map(|_| AtomicUsize::new(0)).collect(),
+        }
+    }
+
+    /// Stage `st`'s phase-1 chunks: their row ranges and readiness, chunk
+    /// `c` at index `c`.
+    pub(crate) fn stage_chunks(&self, st: usize) -> (&[Range<usize>], &[u32]) {
+        let r = self.chunk_ptr[st]..self.chunk_ptr[st + 1];
+        (&self.chunk_rows[r.clone()], &self.chunk_dep[r])
+    }
+
     /// The sweep direction the plan serves.
     pub fn direction(&self) -> SweepDirection {
         self.direction
@@ -1436,10 +1289,8 @@ mod tests {
     const FWD: SweepDirection = SweepDirection::Forward;
     const BWD: SweepDirection = SweepDirection::Transpose;
 
-    fn opts(engine: SolveEngine, direction: SweepDirection) -> SolveOptions {
-        SolveOptions::default()
-            .with_engine(engine)
-            .with_direction(direction)
+    fn opts(direction: SweepDirection) -> SolveOptions {
+        SolveOptions::default().with_direction(direction)
     }
 
     fn check_unsplit_matches_sequential(
@@ -1498,10 +1349,8 @@ mod tests {
         let x_ref = s.solve_sequential(&b).unwrap();
         let x = solver.solve_unsplit(&s, &b).unwrap();
         assert!(ops::relative_error_inf(&x, &x_ref) < 1e-14);
-        for engine in [SolveEngine::Split, SolveEngine::Pipelined] {
-            let x = solver.solve_with(&s, &b, &opts(engine, FWD)).unwrap();
-            assert!(ops::relative_error_inf(&x, &x_ref) < 1e-14);
-        }
+        let x = solver.solve_with(&s, &b, &opts(FWD)).unwrap();
+        assert!(ops::relative_error_inf(&x, &x_ref) < 1e-14);
     }
 
     #[test]
@@ -1531,36 +1380,7 @@ mod tests {
     }
 
     #[test]
-    fn split_engine_matches_sequential_for_all_methods_and_schedules() {
-        let a = generators::triangulated_grid(14, 14, 2).unwrap();
-        let l = generators::lower_operand(&a).unwrap();
-        for method in Method::all() {
-            let s = method.build(&l, 8).unwrap();
-            let x_true: Vec<f64> = (0..s.n()).map(|i| 1.0 + (i % 5) as f64 * 0.3).collect();
-            let b = s.lower().multiply(&x_true).unwrap();
-            let seq = s.solve_sequential(&b).unwrap();
-            for threads in [1, 2, 4] {
-                for schedule in [
-                    Schedule::Static,
-                    Schedule::Dynamic { chunk: 4 },
-                    Schedule::Guided { min_chunk: 1 },
-                ] {
-                    let solver = ParallelSolver::new(threads, schedule);
-                    let par = solver
-                        .solve_with(&s, &b, &opts(SolveEngine::Split, FWD))
-                        .unwrap();
-                    assert!(
-                        ops::relative_error_inf(&par, &seq) < 1e-12,
-                        "{} with {threads} threads diverged from sequential",
-                        method.label()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_engine_matches_both_oracles_for_all_methods_and_threads() {
+    fn sweeps_match_both_oracles_for_all_methods_and_threads() {
         let a = generators::triangulated_grid(14, 14, 2).unwrap();
         let l = generators::lower_operand(&a).unwrap();
         for method in Method::all() {
@@ -1572,13 +1392,11 @@ mod tests {
             let tseq = s.solve_transpose_sequential(&bt).unwrap();
             for threads in [1, 2, 4, 8] {
                 let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                for engine in [SolveEngine::Split, SolveEngine::Pipelined] {
-                    let x = solver.solve_with(&s, &b, &opts(engine, FWD)).unwrap();
-                    let xt = solver.solve_with(&s, &bt, &opts(engine, BWD)).unwrap();
-                    let tag = format!("{} {engine:?} {threads} threads", method.label());
-                    assert!(ops::relative_error_inf(&x, &seq) < 1e-12, "{tag}");
-                    assert!(ops::relative_error_inf(&xt, &tseq) < 1e-12, "{tag}");
-                }
+                let x = solver.solve_with(&s, &b, &opts(FWD)).unwrap();
+                let xt = solver.solve_with(&s, &bt, &opts(BWD)).unwrap();
+                let tag = format!("{} {threads} threads", method.label());
+                assert!(ops::relative_error_inf(&x, &seq) < 1e-12, "{tag}");
+                assert!(ops::relative_error_inf(&xt, &tseq) < 1e-12, "{tag}");
             }
         }
     }
@@ -1608,7 +1426,7 @@ mod tests {
             };
             let mut plan = solver.plan(&s, direction);
             let mut x = vec![0.0; s.n()];
-            let o = opts(SolveEngine::Pipelined, direction);
+            let o = opts(direction);
             for round in 0..50 {
                 solver.solve_into(&s, &mut plan, &b, &mut x, &o).unwrap();
                 assert!(
@@ -1621,7 +1439,7 @@ mod tests {
     }
 
     #[test]
-    fn one_plan_serves_every_engine_and_batch_width() {
+    fn one_plan_serves_every_batch_width_and_precision() {
         let a = generators::grid2d_laplacian(16, 16).unwrap();
         let l = generators::lower_operand(&a).unwrap();
         let s = Method::Sts3.build(&l, 6).unwrap();
@@ -1633,12 +1451,11 @@ mod tests {
             for nrhs in [1usize, 2] {
                 let b: Vec<f64> = (0..s.n() * nrhs).map(|k| 1.0 + (k % 3) as f64).collect();
                 let mut x = vec![0.0; s.n() * nrhs];
-                for engine in [
-                    SolveEngine::Sequential,
-                    SolveEngine::Split,
-                    SolveEngine::Pipelined,
+                for precision in [
+                    PrecisionPolicy::ValuesF64,
+                    PrecisionPolicy::ValuesF32WithRefinement,
                 ] {
-                    let o = opts(engine, direction).with_nrhs(nrhs);
+                    let o = opts(direction).with_nrhs(nrhs).with_precision(precision);
                     solver.solve_into(&s, &mut plan, &b, &mut x, &o).unwrap();
                     assert_eq!(x, solver.solve_with(&s, &b, &o).unwrap());
                 }
@@ -1647,7 +1464,7 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_plans_are_rejected_for_every_engine() {
+    fn mismatched_plans_are_rejected() {
         let a = generators::grid2d_laplacian(10, 10).unwrap();
         let l = generators::lower_operand(&a).unwrap();
         let s = Method::Sts3.build(&l, 4).unwrap();
@@ -1660,34 +1477,28 @@ mod tests {
         let b2 = vec![1.0; s2.n()];
         let mut x2 = vec![0.0; s2.n()];
         let other = ParallelSolver::new(2, Schedule::Static);
-        for engine in [
-            SolveEngine::Sequential,
-            SolveEngine::Split,
-            SolveEngine::Pipelined,
-        ] {
-            let fwd = opts(engine, FWD);
-            let rejected = |r: Result<()>| matches!(r, Err(MatrixError::InvalidParameter(_)));
-            // Wrong direction.
-            let mut bwd_plan = solver.plan(&s, BWD);
-            assert!(rejected(solver.solve_into(
-                &s,
-                &mut bwd_plan,
-                &b,
-                &mut x,
-                &fwd
-            )));
-            // Wrong thread count.
-            let mut plan2 = other.plan(&s, FWD);
-            assert!(rejected(
-                solver.solve_into(&s, &mut plan2, &b, &mut x, &fwd)
-            ));
-            // Wrong structure.
-            let mut plan = solver.plan(&s, FWD);
-            assert!(rejected(
-                solver.solve_into(&s2, &mut plan, &b2, &mut x2, &fwd)
-            ));
-            assert!(solver.solve_into(&s, &mut plan, &b, &mut x, &fwd).is_ok());
-        }
+        let fwd = opts(FWD);
+        let rejected = |r: Result<()>| matches!(r, Err(MatrixError::InvalidParameter(_)));
+        // Wrong direction.
+        let mut bwd_plan = solver.plan(&s, BWD);
+        assert!(rejected(solver.solve_into(
+            &s,
+            &mut bwd_plan,
+            &b,
+            &mut x,
+            &fwd
+        )));
+        // Wrong thread count.
+        let mut plan2 = other.plan(&s, FWD);
+        assert!(rejected(
+            solver.solve_into(&s, &mut plan2, &b, &mut x, &fwd)
+        ));
+        // Wrong structure.
+        let mut plan = solver.plan(&s, FWD);
+        assert!(rejected(
+            solver.solve_into(&s2, &mut plan, &b2, &mut x2, &fwd)
+        ));
+        assert!(solver.solve_into(&s, &mut plan, &b, &mut x, &fwd).is_ok());
         // Same n, pack count and thread count but different pack boundaries:
         // a structurally stale plan must still be rejected (the row ranges
         // it would hand the gather closures race the other structure's chain
@@ -1765,19 +1576,13 @@ mod tests {
     }
 
     #[test]
-    fn every_engine_direction_width_and_precision_agrees_with_the_oracles() {
-        // The engine-matrix contract, over engine × direction × nrhs ×
-        // precision × threads: single-RHS solves are bitwise equal across
-        // engines (and thread counts), split and pipelined batches are
-        // bitwise equal, every lane of a sequential batch is bitwise its
-        // scalar sequential solve, and everything is within 1e-12 of the
-        // unsplit reference sweeps (on the f32-rounded operand for f32
-        // slabs). A width above the 8-wide tiles exercises the tile passes.
-        let engines = [
-            SolveEngine::Sequential,
-            SolveEngine::Split,
-            SolveEngine::Pipelined,
-        ];
+    fn every_direction_width_thread_count_and_precision_agrees_with_the_oracles() {
+        // The sweep contract, over direction × nrhs × precision × threads:
+        // single-RHS solves are bitwise equal across thread counts, every
+        // lane of a batch is bitwise the single-RHS solve of that lane, and
+        // everything is within 1e-12 of the unsplit reference sweeps (on the
+        // f32-rounded operand for f32 slabs). A width above the 8-wide
+        // accumulator blocks exercises the block passes.
         let precisions = [
             PrecisionPolicy::ValuesF64,
             PrecisionPolicy::ValuesF32WithRefinement,
@@ -1801,6 +1606,10 @@ mod tests {
                     for threads in [1usize, 2, 4, 8] {
                         let solver =
                             ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+                        let run = |b: &[f64], nrhs: usize| {
+                            let o = opts(direction).with_nrhs(nrhs).with_precision(precision);
+                            solver.solve_with(&s, b, &o).unwrap()
+                        };
                         for nrhs in [1usize, 3, 9] {
                             let b: Vec<f64> = (0..n * nrhs)
                                 .map(|k| 1.0 + ((k * 7) % 13) as f64 * 0.37)
@@ -1809,73 +1618,65 @@ mod tests {
                                 "{} {direction:?} {precision:?} nrhs={nrhs} threads={threads}",
                                 method.label()
                             );
-                            let run = |engine| {
-                                let o = opts(engine, direction)
-                                    .with_nrhs(nrhs)
-                                    .with_precision(precision);
-                                solver.solve_with(&s, &b, &o).unwrap()
-                            };
-                            let xs: Vec<Vec<f64>> = engines.iter().map(|&e| run(e)).collect();
+                            let x = run(&b, nrhs);
                             if nrhs == 1 {
-                                assert_eq!(xs[0], xs[1], "{tag}: sequential vs split");
-                                assert_eq!(xs[0], xs[2], "{tag}: sequential vs pipelined");
-                                let first = scalar_ref.get_or_insert_with(|| xs[0].clone());
-                                assert_eq!(&xs[0], first, "{tag}: thread-count dependence");
-                            } else {
-                                assert_eq!(xs[1], xs[2], "{tag}: split vs pipelined batch");
+                                let first = scalar_ref.get_or_insert_with(|| x.clone());
+                                assert_eq!(&x, first, "{tag}: thread-count dependence");
                             }
                             for q in 0..nrhs {
                                 let bq = lane(&b, nrhs, q);
-                                let want = oracle(&bq);
-                                let seq_q = run_scalar(&solver, &s, &bq, direction, precision);
-                                assert_eq!(lane(&xs[0], nrhs, q), seq_q, "{tag}: lane {q}");
-                                for (e, x) in engines.iter().zip(&xs) {
-                                    let got = lane(x, nrhs, q);
-                                    assert!(
-                                        ops::relative_error_inf(&got, &want) < 1e-12,
-                                        "{tag}: {e:?} lane {q} misses the oracle"
-                                    );
-                                }
+                                let got = lane(&x, nrhs, q);
+                                assert_eq!(got, run(&bq, 1), "{tag}: lane {q} is not its solve");
+                                assert!(
+                                    ops::relative_error_inf(&got, &oracle(&bq)) < 1e-12,
+                                    "{tag}: lane {q} misses the oracle"
+                                );
                             }
                         }
                     }
                 }
             }
-            // Dimension and batch-width rejections, on every engine.
+            // Dimension and batch-width rejections.
             let solver = ParallelSolver::new(2, Schedule::Static);
-            for engine in engines {
-                for direction in [FWD, BWD] {
-                    let o = opts(engine, direction);
-                    let dim =
-                        |r: Result<Vec<f64>>| matches!(r, Err(MatrixError::DimensionMismatch(_)));
-                    assert!(dim(solver.solve_with(&s, &vec![1.0; n], &o.with_nrhs(0))));
-                    assert!(dim(solver.solve_with(&s, &vec![1.0; n + 1], &o)));
-                    assert!(dim(solver.solve_with(
-                        &s,
-                        &vec![1.0; 2 * n + 1],
-                        &o.with_nrhs(2)
-                    )));
-                    let mut plan = solver.plan(&s, direction);
-                    let mut short = vec![0.0; n - 1];
-                    assert!(matches!(
-                        solver.solve_into(&s, &mut plan, &vec![1.0; n], &mut short, &o),
-                        Err(MatrixError::DimensionMismatch(_))
-                    ));
-                }
+            for direction in [FWD, BWD] {
+                let o = opts(direction);
+                let dim = |r: Result<Vec<f64>>| matches!(r, Err(MatrixError::DimensionMismatch(_)));
+                assert!(dim(solver.solve_with(&s, &vec![1.0; n], &o.with_nrhs(0))));
+                assert!(dim(solver.solve_with(&s, &vec![1.0; n + 1], &o)));
+                assert!(dim(solver.solve_with(
+                    &s,
+                    &vec![1.0; 2 * n + 1],
+                    &o.with_nrhs(2)
+                )));
+                let mut plan = solver.plan(&s, direction);
+                let mut short = vec![0.0; n - 1];
+                assert!(matches!(
+                    solver.solve_into(&s, &mut plan, &vec![1.0; n], &mut short, &o),
+                    Err(MatrixError::DimensionMismatch(_))
+                ));
             }
         }
     }
 
-    /// One scalar sequential solve (the lane reference).
-    fn run_scalar(
-        solver: &ParallelSolver,
-        s: &StsStructure,
-        b: &[f64],
-        direction: SweepDirection,
-        precision: PrecisionPolicy,
-    ) -> Vec<f64> {
-        let o = opts(SolveEngine::Sequential, direction).with_precision(precision);
-        solver.solve_with(s, b, &o).unwrap()
+    #[test]
+    fn an_overflowing_batch_length_is_a_dimension_mismatch() {
+        // n · nrhs = 64 · 2^58 wraps to 0 in `usize`, which empty buffers
+        // would match; the check must catch the overflow before dispatch.
+        let a = generators::grid2d_laplacian(8, 8).unwrap();
+        let l = generators::lower_operand(&a).unwrap();
+        let s = Method::Sts3.build(&l, 4).unwrap();
+        assert_eq!(s.n(), 64);
+        let solver = ParallelSolver::new(2, Schedule::Static);
+        let mut plan = solver.plan(&s, FWD);
+        let o = opts(FWD).with_nrhs(1 << 58);
+        assert!(matches!(
+            solver.solve_into(&s, &mut plan, &[], &mut [], &o),
+            Err(MatrixError::DimensionMismatch(_))
+        ));
+        assert!(matches!(
+            solver.spmv_batch_into(&a, &[], &mut [], 1 << 58),
+            Err(MatrixError::DimensionMismatch(_))
+        ));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The dependency-split CSR layout behind the two-phase and pipelined
-//! solve engines, for both sweep directions.
+//! The dependency-split CSR layout behind the pipelined solve
+//! orchestrator, for both sweep directions.
 //!
 //! The pack-parallel solver's critical path walks every row's full nonzero
 //! list between two barriers. But most of those nonzeros reference rows of

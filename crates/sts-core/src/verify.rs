@@ -16,19 +16,18 @@
 //! order), and hands the model to the dependency-free checker in
 //! [`sts_verify`].
 //!
-//! Chunk boundaries replicate the kernels' formulas verbatim: solve chunks
-//! split a stage's rows as `rows.start + c·m/nchunks` with
-//! `nchunks = workers.min(m)` (`ParallelSolver::plan`), factor chunks
-//! split a pack's super-rows the same way (`ParallelSolver::parallel_ic0`).
-//! Passing `threads = usize::MAX` therefore yields row- (super-row-)
-//! granularity chunks — the sharpest check, since coarser chunks take the
-//! `max` of their rows' readiness and can only over-synchronise.
+//! The chunks are read off the kernels' own schedules, not re-derived:
+//! solve chunks come from a [`PipelinePlan`] built by the constructor the
+//! solver's plans use, with the plan's row ranges and readiness, and
+//! factor chunks from the function `parallel_ic0` runs. Passing
+//! `threads = usize::MAX` yields row- (super-row-) granularity chunks — the
+//! sharpest check, since coarser chunks take the `max` of their rows'
+//! readiness and can only over-synchronise.
 //!
-//! The verified model is the **pipelined** schedule — the weakest
-//! synchronisation any engine uses. The split engine runs the same tasks
-//! with full barriers between phases and packs (strictly more ordering), so
-//! a pipelined proof covers it; the dynamic `race-shadow` cross-check (see
-//! [`sts_verify::replay`]) validates the footprints against both engines.
+//! The verified model is the pipelined schedule every split-layout sweep
+//! runs; the dynamic `race-shadow` cross-check (see
+//! [`sts_verify::replay`]) validates the footprints against what the
+//! kernels really touch.
 //!
 //! Under `debug_assertions`, the first build of each lazy layout re-runs
 //! the corresponding checks ([`StsStructure::layout`]), so every structure
@@ -41,6 +40,8 @@ use sts_verify::{
 
 use crate::csrk::StsStructure;
 use crate::options::SweepDirection;
+use crate::solver::factor::factor_chunks;
+use crate::solver::parallel::PipelinePlan;
 #[allow(unused_imports)] // doc links
 use crate::split::SplitLayout;
 
@@ -56,7 +57,7 @@ pub const VERIFY_THREAD_SWEEP: [usize; 5] = [1, 2, 4, 8, usize::MAX];
 /// carries the real pack index it runs, so violations name packs, not
 /// stages.
 pub fn solve_spec(s: &StsStructure, threads: usize, direction: SweepDirection) -> ScheduleSpec {
-    let workers = threads.max(1);
+    let plan = PipelinePlan::new(s, direction, threads);
     let layout = s.layout(direction);
     let (erp, ecols) = (layout.ext_row_ptr(), layout.ext_cols());
     let (irp, icols) = (layout.int_row_ptr(), layout.int_cols());
@@ -66,18 +67,15 @@ pub fn solve_spec(s: &StsStructure, threads: usize, direction: SweepDirection) -
     };
     let stages = (0..layout.num_stages())
         .map(|st| {
-            // Phase-1 chunks: the kernels' chunking formula.
-            let rows = layout.stage_rows(st);
-            let m = rows.len();
-            let nchunks = workers.min(m);
-            let chunks = (0..nchunks)
-                .map(|c| {
-                    let chunk = rows.start + c * m / nchunks..rows.start + (c + 1) * m / nchunks;
-                    ChunkSpec {
-                        dep: layout.range_ext_dep(chunk.clone()) as usize,
-                        rows: chunk.map(|i| footprint(i, erp, ecols)).collect(),
-                        publishes: true,
-                    }
+            // Phase-1 chunks: the plan's row ranges and readiness.
+            let (ranges, deps) = plan.stage_chunks(st);
+            let chunks = ranges
+                .iter()
+                .zip(deps)
+                .map(|(chunk, &dep)| ChunkSpec {
+                    dep: dep as usize,
+                    rows: chunk.clone().map(|i| footprint(i, erp, ecols)).collect(),
+                    publishes: true,
                 })
                 .collect();
             // Phase-2 chain tickets.
@@ -105,43 +103,29 @@ pub fn solve_spec(s: &StsStructure, threads: usize, direction: SweepDirection) -
 }
 
 /// Builds the static schedule model of one `parallel_ic0` sweep: per pack,
-/// super-row-aligned chunks (the factor kernel's formula) whose rows read
-/// the rows named by their strictly-lower columns; no phase 2.
+/// super-row-aligned chunks (the factor kernel's own chunking) whose rows
+/// read the rows named by their strictly-lower columns; no phase 2.
 pub fn factor_spec(s: &StsStructure, threads: usize) -> ScheduleSpec {
-    let workers = threads.max(1);
     let split = s.layout(SweepDirection::Forward);
-    let index2 = s.index2();
     let l = s.lower();
-    let num_packs = s.num_packs();
-    let mut stages = Vec::with_capacity(num_packs);
-    for p in 0..num_packs {
-        let srs = s.pack_super_rows(p);
-        let nsr = srs.len();
-        let nchunks = workers.min(nsr);
-        let mut chunks = Vec::with_capacity(nchunks);
-        for c in 0..nchunks {
-            let sr_lo = srs.start + c * nsr / nchunks;
-            let sr_hi = srs.start + (c + 1) * nsr / nchunks;
-            let rows = index2[sr_lo]..index2[sr_hi];
-            let dep = split.range_ext_dep(rows.clone()) as usize;
-            let rows_fp = rows
-                .map(|i| RowFootprint {
-                    row: i,
-                    reads: l.row_off_diag_cols(i).to_vec(),
-                })
-                .collect();
-            chunks.push(ChunkSpec {
-                dep,
-                rows: rows_fp,
-                publishes: true,
-            });
-        }
-        stages.push(StageSpec {
+    let stages = (0..s.num_packs())
+        .map(|p| StageSpec {
             pack: p,
-            chunks,
+            chunks: factor_chunks(s, p, threads)
+                .map(|rows| ChunkSpec {
+                    dep: split.range_ext_dep(rows.clone()) as usize,
+                    rows: rows
+                        .map(|i| RowFootprint {
+                            row: i,
+                            reads: l.row_off_diag_cols(i).to_vec(),
+                        })
+                        .collect(),
+                    publishes: true,
+                })
+                .collect(),
             chains: Vec::new(),
-        });
-    }
+        })
+        .collect();
     ScheduleSpec {
         locations: s.n(),
         stages,

@@ -14,9 +14,8 @@
 //!   [`Ic0`]), each applying `z = M⁻¹ r` with **no heap allocation**: the
 //!   sweeps run through [`ParallelSolver::solve_into`](sts_core::ParallelSolver::solve_into)
 //!   against caller-held buffers and one reusable
-//!   [`PipelinePlan`](sts_core::PipelinePlan) per direction, on any of the
-//!   bitwise-identical sweep engines
-//!   ([`SolveEngine`](sts_core::SolveEngine));
+//!   [`PipelinePlan`](sts_core::PipelinePlan) per direction, bitwise
+//!   identical on every pool size;
 //! * [`KrylovWorkspace`] — the persistent vector arena (`r`, `z`, `p`,
 //!   `A·p`, sweep scratch) sized once per structure, so a converged solve
 //!   followed by a thousand more allocates nothing;
@@ -43,7 +42,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use sts_core::{Method, SolveEngine};
+//! use sts_core::Method;
 //! use sts_krylov::{Ic0, KrylovWorkspace, Pcg, Preconditioner, SpdSystem, Ssor};
 //! use sts_matrix::generators;
 //! use sts_numa::Schedule;
@@ -55,7 +54,7 @@
 //! // A PCG driver and a preconditioner whose sweeps run on the pipelined
 //! // parallel kernels.
 //! let pcg = Pcg::new(4, Schedule::Guided { min_chunk: 1 });
-//! let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
+//! let mut pre = Ssor::new(&sys, pcg.solver());
 //!
 //! // Persistent workspace: repeated solves allocate nothing.
 //! let mut ws = KrylovWorkspace::new(sys.n());

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sts_core::{ParallelSolver, SolveOptions};
+use sts_core::{batch_len, ParallelSolver, SolveOptions};
 use sts_matrix::{ops, MatrixError};
 use sts_numa::Schedule;
 use sts_trace::Registry;
@@ -360,8 +360,8 @@ impl Pcg {
     /// ([`Preconditioner::set_precision`]) and runs the single-RHS solve.
     ///
     /// Only the `precision` and `nrhs` fields are consumed here — the
-    /// preconditioner's own [`SolveEngine`](sts_core::SolveEngine) governs how
-    /// its sweeps run, and CG has no direction to choose. `nrhs` must be 1;
+    /// preconditioner's own plans govern how its sweeps run, and CG has no
+    /// direction to choose. `nrhs` must be 1;
     /// use [`Pcg::solve_batch_with`] / [`Pcg::solve_block_with`] for more.
     pub fn solve_with(
         &self,
@@ -432,11 +432,11 @@ impl Pcg {
                 "solve_batch needs at least one right-hand side".into(),
             ));
         }
-        if b.len() != n * nrhs {
+        let len = batch_len(n, nrhs)?;
+        if b.len() != len {
             return Err(MatrixError::DimensionMismatch(format!(
-                "B has length {}, expected n * nrhs = {}",
-                b.len(),
-                n * nrhs
+                "B has length {}, expected n * nrhs = {len}",
+                b.len()
             )));
         }
         if ws.n() != n || ws.nrhs() != nrhs {
@@ -566,9 +566,8 @@ impl Pcg {
     ///   (residuals numerically inside the converged span), the solve stops
     ///   and reports the state honestly rather than spinning.
     ///
-    /// Works with every [`SolveEngine`](sts_core::SolveEngine): the
-    /// preconditioner's batched application runs on whichever engine it was
-    /// built with.
+    /// The preconditioner's batched application runs each lane as its own
+    /// single-RHS sweep would, bit for bit, on any pool size.
     pub fn solve_block(
         &self,
         sys: &SpdSystem,
@@ -583,11 +582,11 @@ impl Pcg {
                 "solve_block needs at least one right-hand side".into(),
             ));
         }
-        if b.len() != n * nrhs {
+        let len = batch_len(n, nrhs)?;
+        if b.len() != len {
             return Err(MatrixError::DimensionMismatch(format!(
-                "B has length {}, expected n * nrhs = {}",
-                b.len(),
-                n * nrhs
+                "B has length {}, expected n * nrhs = {len}",
+                b.len()
             )));
         }
         if ws.n() != n || ws.nrhs() != nrhs {
@@ -844,7 +843,7 @@ fn strided_dots(u: &[f64], v: &[f64], nrhs: usize, out: &mut [f64]) {
 mod tests {
     use super::*;
     use crate::precond::{Ic0, Identity, Ssor};
-    use sts_core::{Method, SolveEngine};
+    use sts_core::Method;
     use sts_matrix::{generators, ops};
 
     fn laplacian_system(nx: usize, ny: usize) -> SpdSystem {
@@ -879,9 +878,9 @@ mod tests {
         let pcg = Pcg::new(3, Schedule::Guided { min_chunk: 1 });
         let mut ws = KrylovWorkspace::new(sys.n());
         let plain = pcg.solve(&sys, &mut Identity, &b, &mut ws).unwrap();
-        let mut ssor = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
+        let mut ssor = Ssor::new(&sys, pcg.solver());
         let with_ssor = pcg.solve(&sys, &mut ssor, &b, &mut ws).unwrap();
-        let mut ic0 = Ic0::new(&sys, pcg.solver(), SolveEngine::Pipelined).unwrap();
+        let mut ic0 = Ic0::new(&sys, pcg.solver()).unwrap();
         let with_ic0 = pcg.solve(&sys, &mut ic0, &b, &mut ws).unwrap();
         assert!(plain.converged && with_ssor.converged && with_ic0.converged);
         assert!(
@@ -903,18 +902,19 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_pipelined_sweeps_take_identical_iteration_counts() {
-        // The acceptance invariant: both engines run the same per-row
+    fn one_and_n_worker_sweeps_take_identical_iteration_counts() {
+        // The acceptance invariant: every pool size runs the same per-row
         // arithmetic, so the iterate sequences — and hence the counts — are
         // identical, not merely close.
         let sys = laplacian_system(20, 20);
         let a = generators::grid2d_laplacian(20, 20).unwrap();
         let b = ops::spmv(&a, &vec![1.0; sys.n()]).unwrap();
+        let one = Pcg::new(1, Schedule::Guided { min_chunk: 1 });
         let pcg = Pcg::new(4, Schedule::Guided { min_chunk: 1 });
         let mut ws = KrylovWorkspace::new(sys.n());
-        let mut seq = Ssor::new(&sys, pcg.solver(), SolveEngine::Sequential);
-        let mut pip = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
-        let out_seq = pcg.solve(&sys, &mut seq, &b, &mut ws).unwrap();
+        let mut seq = Ssor::new(&sys, one.solver());
+        let mut pip = Ssor::new(&sys, pcg.solver());
+        let out_seq = one.solve(&sys, &mut seq, &b, &mut ws).unwrap();
         let out_pip = pcg.solve(&sys, &mut pip, &b, &mut ws).unwrap();
         assert!(out_seq.converged && out_pip.converged);
         assert_eq!(out_seq.iterations, out_pip.iterations);
@@ -953,7 +953,7 @@ mod tests {
         let n = sys.n();
         let nrhs = 3;
         let pcg = Pcg::new(3, Schedule::Guided { min_chunk: 1 });
-        let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
+        let mut pre = Ssor::new(&sys, pcg.solver());
         let mut b = vec![0.0; n * nrhs];
         let mut x_true = vec![0.0; n * nrhs];
         for q in 0..nrhs {
@@ -1114,7 +1114,7 @@ mod tests {
         let n = sys.n();
         let nrhs = 3;
         let pcg = Pcg::new(3, Schedule::Guided { min_chunk: 1 });
-        let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
+        let mut pre = Ssor::new(&sys, pcg.solver());
         let mut b = vec![0.0; n * nrhs];
         let mut x_true = vec![0.0; n * nrhs];
         for q in 0..nrhs {
@@ -1165,7 +1165,7 @@ mod tests {
         let n = sys.n();
         let nrhs = 3;
         let pcg = Pcg::new(2, Schedule::Guided { min_chunk: 1 });
-        let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
+        let mut pre = Ssor::new(&sys, pcg.solver());
         let b0: Vec<f64> = (0..n).map(|i| ((i * 31) % 19) as f64 - 9.0).collect();
         let b2: Vec<f64> = (0..n).map(|i| ((i * 17) % 13) as f64 * 0.5).collect();
         let mut b = vec![0.0; n * nrhs];
@@ -1195,15 +1195,15 @@ mod tests {
     }
 
     #[test]
-    fn block_and_batch_solves_run_on_the_sequential_engine() {
-        // The engine matrix is complete: batched lockstep and block solves
-        // work on single-core hosts through the sequential batched split
-        // kernels, with iterate sequences identical to the pipelined engine
-        // (the kernels are bitwise identical per lane).
+    fn block_and_batch_solves_agree_across_thread_counts() {
+        // Batched lockstep and block solves run the same batch sweeps on 1
+        // and on N workers, so their results are bitwise identical, and
+        // every lane of a batch solve is bitwise its standalone solve.
         let sys = laplacian_system(10, 13);
         let a = generators::grid2d_laplacian(10, 13).unwrap();
         let n = sys.n();
         let nrhs = 2;
+        let one = Pcg::new(1, Schedule::Guided { min_chunk: 1 });
         let pcg = Pcg::new(2, Schedule::Guided { min_chunk: 1 });
         let mut b = vec![0.0; n * nrhs];
         for q in 0..nrhs {
@@ -1216,36 +1216,35 @@ mod tests {
             }
         }
         let mut ws = KrylovWorkspace::with_nrhs(n, nrhs);
-        let mut seq = Ssor::new(&sys, pcg.solver(), SolveEngine::Sequential);
-        let mut pip = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
-        let batch_seq = pcg.solve_batch(&sys, &mut seq, &b, nrhs, &mut ws).unwrap();
+        let mut seq = Ssor::new(&sys, one.solver());
+        let mut pip = Ssor::new(&sys, pcg.solver());
+        let batch_seq = one.solve_batch(&sys, &mut seq, &b, nrhs, &mut ws).unwrap();
         let batch_pip = pcg.solve_batch(&sys, &mut pip, &b, nrhs, &mut ws).unwrap();
-        assert!(batch_seq.converged.iter().all(|&c| c));
+        assert!(batch_pip.converged.iter().all(|&c| c));
         assert_eq!(batch_seq.iterations, batch_pip.iterations);
-        assert!(ops::relative_error_inf(&batch_seq.x, &batch_pip.x) < 1e-10);
+        assert_eq!(batch_seq.x, batch_pip.x);
         // The strong form of "exactly as single-RHS": every lane of the
-        // sequential-engine batch solve is bitwise identical to its
-        // standalone sequential-engine solve (the batched sequential sweeps
-        // run the scalar kernels' exact floating-point sequence; the
-        // pipelined batch kernels only promise tolerance-level agreement).
+        // batch solve is bitwise identical to its standalone solve (the
+        // batch sweeps run the single-RHS bodies' exact floating-point
+        // sequence per lane).
         let mut ws1 = KrylovWorkspace::new(n);
         for q in 0..nrhs {
             let bq: Vec<f64> = (0..n).map(|i| b[i * nrhs + q]).collect();
-            let single = pcg.solve(&sys, &mut seq, &bq, &mut ws1).unwrap();
-            assert_eq!(single.iterations, batch_seq.iterations[q]);
+            let single = pcg.solve(&sys, &mut pip, &bq, &mut ws1).unwrap();
+            assert_eq!(single.iterations, batch_pip.iterations[q]);
             for i in 0..n {
                 assert_eq!(
-                    batch_seq.x[i * nrhs + q],
+                    batch_pip.x[i * nrhs + q],
                     single.x[i],
                     "lane {q} diverged from its standalone solve at row {i}"
                 );
             }
         }
-        let block_seq = pcg.solve_block(&sys, &mut seq, &b, nrhs, &mut ws).unwrap();
+        let block_seq = one.solve_block(&sys, &mut seq, &b, nrhs, &mut ws).unwrap();
         let block_pip = pcg.solve_block(&sys, &mut pip, &b, nrhs, &mut ws).unwrap();
-        assert!(block_seq.converged.iter().all(|&c| c));
+        assert!(block_pip.converged.iter().all(|&c| c));
         assert_eq!(block_seq.iterations, block_pip.iterations);
-        assert!(ops::relative_error_inf(&block_seq.x, &block_pip.x) < 1e-10);
+        assert_eq!(block_seq.x, block_pip.x);
     }
 
     #[test]
@@ -1274,5 +1273,14 @@ mod tests {
         assert!(pcg
             .solve_block(&sys, &mut Identity, &b[..5], 2, &mut ws)
             .is_err());
+        // An n · nrhs that wraps to 0 must not match an empty B.
+        let huge = usize::MAX / 4 + 1;
+        let dim = |r: Result<()>| matches!(r, Err(MatrixError::DimensionMismatch(_)));
+        assert!(dim(pcg
+            .solve_batch(&sys, &mut Identity, &[], huge, &mut ws)
+            .map(drop)));
+        assert!(dim(pcg
+            .solve_block(&sys, &mut Identity, &[], huge, &mut ws)
+            .map(drop)));
     }
 }

@@ -21,17 +21,16 @@
 //! * [`Identity`] — `M = I`, turning the driver into plain CG for
 //!   comparison runs.
 //!
-//! The [`SolveEngine`] selects which orchestrator runs the sweeps. Every
-//! engine runs the *same* per-row arithmetic in the same order, so
-//! switching engines changes wall time, never the iterate sequence —
-//! sequential-, split- and pipelined-sweep PCG take bitwise identical paths
-//! and the same iteration count.
+//! The sweeps run the *same* per-row arithmetic in the same order on any
+//! pool size, so the worker count changes wall time, never the iterate
+//! sequence — PCG takes bitwise identical paths and the same iteration
+//! count on 1 and on N workers, and each lane of a batched application is
+//! bitwise its single-RHS application.
 
 use std::sync::Arc;
 
 use sts_core::{
-    ParallelSolver, PipelinePlan, PrecisionPolicy, SolveEngine, SolveOptions, StsStructure,
-    SweepDirection,
+    ParallelSolver, PipelinePlan, PrecisionPolicy, SolveOptions, StsStructure, SweepDirection,
 };
 use sts_matrix::MatrixError;
 
@@ -49,7 +48,7 @@ pub trait Preconditioner {
 
     /// Applies `z ← M⁻¹ r`. `solver` must be the pool the preconditioner's
     /// plans were built against ([`ParallelSolver::solve_into`] verifies
-    /// this for every engine).
+    /// this).
     fn apply_into(
         &mut self,
         solver: &ParallelSolver,
@@ -59,9 +58,10 @@ pub trait Preconditioner {
     ) -> Result<()>;
 
     /// Applies `z ← M⁻¹ r` to `nrhs` interleaved systems
-    /// (`r[i * nrhs + q]`). Every sweep engine carries batch sweeps
-    /// ([`Ssor`] / [`Ic0`]); the trait default refuses for preconditioners
-    /// without batch support.
+    /// (`r[i * nrhs + q]`). The sweep preconditioners ([`Ssor`] / [`Ic0`])
+    /// carry batch sweeps whose lanes are bitwise their
+    /// [`Preconditioner::apply_into`] results; the trait default refuses
+    /// for preconditioners without batch support.
     fn apply_batch_into(
         &mut self,
         solver: &ParallelSolver,
@@ -131,13 +131,13 @@ impl Preconditioner for Identity {
 }
 
 /// The two sweeps shared by [`Ssor`] and [`Ic0`]: a structure, one plan
-/// per direction, and the solve request (engine and precision) both sweeps
-/// run with.
+/// per direction, and the solve request (its precision) both sweeps run
+/// with.
 #[derive(Debug)]
 struct SweepPair {
     structure: Arc<StsStructure>,
-    /// Engine and value-slab precision of both sweeps (precision switched
-    /// by [`Preconditioner::set_precision`], f64 by default); the direction
+    /// Value-slab precision of both sweeps (switched by
+    /// [`Preconditioner::set_precision`], f64 by default); the direction
     /// and batch width are set per call.
     opts: SolveOptions,
     /// The forward plan.
@@ -149,12 +149,12 @@ struct SweepPair {
 impl SweepPair {
     /// Builds both plans, forcing the lazy layouts now so the first apply
     /// is not the one paying the build sweeps.
-    fn new(structure: Arc<StsStructure>, solver: &ParallelSolver, engine: SolveEngine) -> Self {
+    fn new(structure: Arc<StsStructure>, solver: &ParallelSolver) -> Self {
         SweepPair {
             fwd: solver.plan(&structure, SweepDirection::Forward),
             bwd: solver.plan(&structure, SweepDirection::Transpose),
             structure,
-            opts: SolveOptions::default().with_engine(engine),
+            opts: SolveOptions::default(),
         }
     }
 
@@ -214,13 +214,13 @@ pub struct Ssor {
 impl Ssor {
     /// Builds the preconditioner on `sys`'s structure, with plans bound to
     /// `solver`'s pool.
-    pub fn new(sys: &SpdSystem, solver: &ParallelSolver, engine: SolveEngine) -> Ssor {
+    pub fn new(sys: &SpdSystem, solver: &ParallelSolver) -> Ssor {
         let structure = sys.structure_arc();
         let diag = (0..structure.n())
             .map(|i| structure.lower().diag(i))
             .collect();
         Ssor {
-            sweeps: SweepPair::new(structure, solver, engine),
+            sweeps: SweepPair::new(structure, solver),
             diag,
         }
     }
@@ -307,8 +307,8 @@ impl Ic0 {
     /// [`Ic0::new_sequential`]; both produce **bitwise identical** factors
     /// (and identical breakdown errors), so the choice only moves wall
     /// time.
-    pub fn new(sys: &SpdSystem, solver: &ParallelSolver, engine: SolveEngine) -> Result<Ic0> {
-        Ic0::new_parallel(sys, solver, engine)
+    pub fn new(sys: &SpdSystem, solver: &ParallelSolver) -> Result<Ic0> {
+        Ic0::new_parallel(sys, solver)
     }
 
     /// [`Ic0::new`] with the factorization explicitly level-scheduled on
@@ -316,15 +316,11 @@ impl Ic0 {
     /// (`ParallelSolver::parallel_ic0`): pack `p`'s update
     /// sweep waits only on the packs its column range actually reads, so
     /// setup work of later packs overlaps stragglers of earlier ones.
-    pub fn new_parallel(
-        sys: &SpdSystem,
-        solver: &ParallelSolver,
-        engine: SolveEngine,
-    ) -> Result<Ic0> {
+    pub fn new_parallel(sys: &SpdSystem, solver: &ParallelSolver) -> Result<Ic0> {
         let factor = solver.parallel_ic0(sys.structure(), sys.matrix())?;
         let structure = Arc::new(sys.structure().with_operand(factor)?);
         Ok(Ic0 {
-            sweeps: SweepPair::new(structure, solver, engine),
+            sweeps: SweepPair::new(structure, solver),
             shift: 0.0,
             row_boost: None,
         })
@@ -333,15 +329,11 @@ impl Ic0 {
     /// [`Ic0::new`] with the sequential up-looking factorization
     /// (`sts_matrix::factor::ic0`) — the single-core fallback, bitwise
     /// identical to the level-scheduled build.
-    pub fn new_sequential(
-        sys: &SpdSystem,
-        solver: &ParallelSolver,
-        engine: SolveEngine,
-    ) -> Result<Ic0> {
+    pub fn new_sequential(sys: &SpdSystem, solver: &ParallelSolver) -> Result<Ic0> {
         let factor = sts_matrix::factor::ic0(sys.matrix())?;
         let structure = Arc::new(sys.structure().with_operand(factor)?);
         Ok(Ic0 {
-            sweeps: SweepPair::new(structure, solver, engine),
+            sweeps: SweepPair::new(structure, solver),
             shift: 0.0,
             row_boost: None,
         })
@@ -358,13 +350,8 @@ impl Ic0 {
     ///
     /// Setup is level-scheduled on `solver`'s pool, bitwise identical to
     /// [`Ic0::new_shifted_sequential`].
-    pub fn new_shifted(
-        sys: &SpdSystem,
-        solver: &ParallelSolver,
-        engine: SolveEngine,
-        alpha: f64,
-    ) -> Result<Ic0> {
-        Ic0::new_shifted_parallel(sys, solver, engine, alpha)
+    pub fn new_shifted(sys: &SpdSystem, solver: &ParallelSolver, alpha: f64) -> Result<Ic0> {
+        Ic0::new_shifted_parallel(sys, solver, alpha)
     }
 
     /// [`Ic0::new_shifted`] with the factorization explicitly
@@ -372,14 +359,13 @@ impl Ic0 {
     pub fn new_shifted_parallel(
         sys: &SpdSystem,
         solver: &ParallelSolver,
-        engine: SolveEngine,
         alpha: f64,
     ) -> Result<Ic0> {
         let shifted = shifted_operand(sys.matrix(), alpha)?;
         let factor = solver.parallel_ic0(sys.structure(), &shifted)?;
         let structure = Arc::new(sys.structure().with_operand(factor)?);
         Ok(Ic0 {
-            sweeps: SweepPair::new(structure, solver, engine),
+            sweeps: SweepPair::new(structure, solver),
             shift: alpha,
             row_boost: None,
         })
@@ -390,14 +376,13 @@ impl Ic0 {
     pub fn new_shifted_sequential(
         sys: &SpdSystem,
         solver: &ParallelSolver,
-        engine: SolveEngine,
         alpha: f64,
     ) -> Result<Ic0> {
         let shifted = shifted_operand(sys.matrix(), alpha)?;
         let factor = sts_matrix::factor::ic0(&shifted)?;
         let structure = Arc::new(sys.structure().with_operand(factor)?);
         Ok(Ic0 {
-            sweeps: SweepPair::new(structure, solver, engine),
+            sweeps: SweepPair::new(structure, solver),
             shift: alpha,
             row_boost: None,
         })
@@ -416,7 +401,6 @@ impl Ic0 {
     pub fn new_row_boosted(
         sys: &SpdSystem,
         solver: &ParallelSolver,
-        engine: SolveEngine,
         row: usize,
         alpha: f64,
     ) -> Result<Ic0> {
@@ -424,7 +408,7 @@ impl Ic0 {
         let factor = solver.parallel_ic0(sys.structure(), &boosted)?;
         let structure = Arc::new(sys.structure().with_operand(factor)?);
         Ok(Ic0 {
-            sweeps: SweepPair::new(structure, solver, engine),
+            sweeps: SweepPair::new(structure, solver),
             shift: 0.0,
             row_boost: Some((row, alpha)),
         })
@@ -442,8 +426,9 @@ impl Ic0 {
         self.row_boost
     }
 
-    /// The factor structure's operand values (test/diagnostic hook: setup
-    /// engines are asserted bitwise identical through this).
+    /// The factor structure's operand values (test/diagnostic hook: the
+    /// sequential and level-scheduled setups are asserted bitwise identical
+    /// through this).
     pub fn factor_values(&self) -> &[f64] {
         self.sweeps.structure.lower().values()
     }
@@ -579,39 +564,35 @@ mod tests {
     }
 
     #[test]
-    fn ssor_engines_agree_with_the_reference_application() {
+    fn ssor_agrees_with_the_reference_application() {
         let (sys, solver) = test_setup();
         let r: Vec<f64> = (0..sys.n()).map(|i| 1.0 + (i % 5) as f64 * 0.3).collect();
         let expected = ssor_reference(&sys, &r);
-        for engine in [SolveEngine::Sequential, SolveEngine::Pipelined] {
-            let mut pre = Ssor::new(&sys, &solver, engine);
-            let mut z = vec![0.0; sys.n()];
-            let mut sweep = vec![0.0; sys.n()];
-            pre.apply_into(&solver, &r, &mut z, &mut sweep).unwrap();
-            assert!(
-                ops::relative_error_inf(&z, &expected) < 1e-12,
-                "{engine:?} sweep diverged from the reference"
-            );
-        }
+        let mut pre = Ssor::new(&sys, &solver);
+        let mut z = vec![0.0; sys.n()];
+        let mut sweep = vec![0.0; sys.n()];
+        pre.apply_into(&solver, &r, &mut z, &mut sweep).unwrap();
+        assert!(ops::relative_error_inf(&z, &expected) < 1e-12);
     }
 
     #[test]
-    fn sequential_and_pipelined_applications_are_bitwise_identical() {
+    fn one_and_n_worker_applications_are_bitwise_identical() {
         let (sys, solver) = test_setup();
+        let one = ParallelSolver::new(1, Schedule::Static);
         let r: Vec<f64> = (0..sys.n()).map(|i| 0.25 + (i % 7) as f64).collect();
-        let mut seq = Ssor::new(&sys, &solver, SolveEngine::Sequential);
-        let mut pip = Ssor::new(&sys, &solver, SolveEngine::Pipelined);
+        let mut seq = Ssor::new(&sys, &one);
+        let mut par = Ssor::new(&sys, &solver);
         let (mut z1, mut z2) = (vec![0.0; sys.n()], vec![0.0; sys.n()]);
         let mut sweep = vec![0.0; sys.n()];
-        seq.apply_into(&solver, &r, &mut z1, &mut sweep).unwrap();
-        pip.apply_into(&solver, &r, &mut z2, &mut sweep).unwrap();
-        assert_eq!(z1, z2, "engines must take bitwise identical paths");
+        seq.apply_into(&one, &r, &mut z1, &mut sweep).unwrap();
+        par.apply_into(&solver, &r, &mut z2, &mut sweep).unwrap();
+        assert_eq!(z1, z2, "thread counts must take bitwise identical paths");
     }
 
     #[test]
     fn ic0_application_inverts_the_factor_product() {
         let (sys, solver) = test_setup();
-        let mut pre = Ic0::new(&sys, &solver, SolveEngine::Pipelined).unwrap();
+        let mut pre = Ic0::new(&sys, &solver).unwrap();
         // Manufacture r = F Fᵀ w, expect apply(r) = w.
         let f = sts_matrix::factor::ic0(sys.matrix()).unwrap();
         let w: Vec<f64> = (0..sys.n()).map(|i| 1.0 - (i % 4) as f64 * 0.2).collect();
@@ -624,15 +605,15 @@ mod tests {
     }
 
     #[test]
-    fn ic0_setup_engines_build_bitwise_identical_factors() {
+    fn ic0_setups_build_bitwise_identical_factors() {
         let (sys, solver) = test_setup();
-        let seq = Ic0::new_sequential(&sys, &solver, SolveEngine::Sequential).unwrap();
-        let par = Ic0::new_parallel(&sys, &solver, SolveEngine::Sequential).unwrap();
-        let def = Ic0::new(&sys, &solver, SolveEngine::Sequential).unwrap();
+        let seq = Ic0::new_sequential(&sys, &solver).unwrap();
+        let par = Ic0::new_parallel(&sys, &solver).unwrap();
+        let def = Ic0::new(&sys, &solver).unwrap();
         assert_eq!(
             seq.factor_values(),
             par.factor_values(),
-            "setup engines must produce the same factor bit for bit"
+            "sequential and level-scheduled setups must produce the same factor bit for bit"
         );
         assert_eq!(def.factor_values(), par.factor_values());
         // And the applications are therefore bitwise identical too.
@@ -647,42 +628,36 @@ mod tests {
     }
 
     #[test]
-    fn batch_application_matches_per_system_applications() {
-        let (sys, solver) = test_setup();
+    fn batch_application_lanes_are_bitwise_their_single_applications() {
+        // Every lane of a batched SSOR or IC(0) application is bitwise the
+        // single-RHS application of that lane, on multi-worker pools (each
+        // lane runs the single-RHS bodies' exact floating-point sequence).
+        let a = generators::grid2d_laplacian(9, 8).unwrap();
+        let sys = SpdSystem::build(&a, Method::Sts3, 8).unwrap();
         let n = sys.n();
         let nrhs = 3;
-        let mut pre = Ssor::new(&sys, &solver, SolveEngine::Pipelined);
-        let mut rb = vec![0.0; n * nrhs];
-        let mut expected = vec![0.0; n * nrhs];
-        for q in 0..nrhs {
-            let r: Vec<f64> = (0..n).map(|i| 1.0 + ((i + q) % 6) as f64 * 0.4).collect();
-            let mut z = vec![0.0; n];
-            let mut sweep = vec![0.0; n];
-            pre.apply_into(&solver, &r, &mut z, &mut sweep).unwrap();
-            for i in 0..n {
-                rb[i * nrhs + q] = r[i];
-                expected[i * nrhs + q] = z[i];
-            }
-        }
-        let mut zb = vec![0.0; n * nrhs];
-        let mut sweepb = vec![0.0; n * nrhs];
-        pre.apply_batch_into(&solver, &rb, &mut zb, &mut sweepb, nrhs)
-            .unwrap();
-        assert!(ops::relative_error_inf(&zb, &expected) < 1e-13);
-        // The sequential engine's batched sweeps are bitwise identical to
-        // its per-system applications (each lane runs the scalar kernel's
-        // exact floating-point sequence).
-        let mut seq = Ssor::new(&sys, &solver, SolveEngine::Sequential);
-        let mut zb_seq = vec![0.0; n * nrhs];
-        seq.apply_batch_into(&solver, &rb, &mut zb_seq, &mut sweepb, nrhs)
-            .unwrap();
-        for q in 0..nrhs {
-            let r: Vec<f64> = (0..n).map(|i| rb[i * nrhs + q]).collect();
-            let mut z = vec![0.0; n];
-            let mut sweep = vec![0.0; n];
-            seq.apply_into(&solver, &r, &mut z, &mut sweep).unwrap();
-            for i in 0..n {
-                assert_eq!(zb_seq[i * nrhs + q], z[i], "lane {q} diverged at row {i}");
+        let rb: Vec<f64> = (0..n * nrhs)
+            .map(|k| 1.0 + ((k / nrhs + k % nrhs) % 6) as f64 * 0.4)
+            .collect();
+        for threads in [2, 4] {
+            let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+            let pres: [Box<dyn Preconditioner>; 2] = [
+                Box::new(Ssor::new(&sys, &solver)),
+                Box::new(Ic0::new(&sys, &solver).unwrap()),
+            ];
+            for mut pre in pres {
+                let mut zb = vec![0.0; n * nrhs];
+                let mut sweepb = vec![0.0; n * nrhs];
+                pre.apply_batch_into(&solver, &rb, &mut zb, &mut sweepb, nrhs)
+                    .unwrap();
+                for q in 0..nrhs {
+                    let r: Vec<f64> = (0..n).map(|i| rb[i * nrhs + q]).collect();
+                    let mut z = vec![0.0; n];
+                    let mut sweep = vec![0.0; n];
+                    pre.apply_into(&solver, &r, &mut z, &mut sweep).unwrap();
+                    let lane: Vec<f64> = (0..n).map(|i| zb[i * nrhs + q]).collect();
+                    assert_eq!(lane, z, "{} lane {q} at {threads} workers", pre.label());
+                }
             }
         }
     }

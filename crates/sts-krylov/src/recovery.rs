@@ -34,7 +34,7 @@
 //! propagate immediately — retrying cannot fix those, and masking them
 //! would hide real faults.
 
-use sts_core::{ParallelSolver, PrecisionPolicy, SolveEngine};
+use sts_core::{ParallelSolver, PrecisionPolicy};
 use sts_matrix::MatrixError;
 
 use crate::pcg::{Pcg, PcgBatchOutcome, PcgBlockOutcome, PcgOutcome};
@@ -58,8 +58,6 @@ pub struct RecoveryPolicy {
     pub allow_ssor: bool,
     /// Whether the ladder may degrade all the way to plain CG.
     pub allow_identity: bool,
-    /// The sweep engine every rung's preconditioner runs on.
-    pub engine: SolveEngine,
     /// The value-slab precision every rung's preconditioner sweeps with
     /// ([`Preconditioner::set_precision`]).
     pub precision: PrecisionPolicy,
@@ -72,7 +70,6 @@ impl Default for RecoveryPolicy {
             shifts: vec![1e-3, 1e-2, 1e-1, 1.0],
             allow_ssor: true,
             allow_identity: true,
-            engine: SolveEngine::Pipelined,
             precision: PrecisionPolicy::ValuesF64,
         }
     }
@@ -242,7 +239,7 @@ pub fn build_ladder_preconditioner(
     // Rung 1: plain IC(0). A breakdown names the offending pivot row,
     // which rung 2 targets.
     shifts_tried.push(0.0);
-    match Ic0::new(sys, solver, policy.engine) {
+    match Ic0::new(sys, solver) {
         Ok(pre) => {
             return finish(
                 LadderPreconditioner::Ic0(pre),
@@ -266,7 +263,7 @@ pub fn build_ladder_preconditioner(
     // Rung 2: boost only the reported pivot row's diagonal, escalating.
     if let Some(row) = breakdown_row {
         for &beta in policy.row_boosts.iter() {
-            match Ic0::new_row_boosted(sys, solver, policy.engine, row, beta) {
+            match Ic0::new_row_boosted(sys, solver, row, beta) {
                 Ok(pre) => {
                     return finish(
                         LadderPreconditioner::Ic0(pre),
@@ -289,7 +286,7 @@ pub fn build_ladder_preconditioner(
     // Rung 3: whole-diagonal Manteuffel shifts, escalating.
     for &alpha in policy.shifts.iter() {
         shifts_tried.push(alpha);
-        match Ic0::new_shifted(sys, solver, policy.engine, alpha) {
+        match Ic0::new_shifted(sys, solver, alpha) {
             Ok(pre) => {
                 return finish(
                     LadderPreconditioner::Ic0(pre),
@@ -309,7 +306,7 @@ pub fn build_ladder_preconditioner(
     }
     if policy.allow_ssor {
         return finish(
-            LadderPreconditioner::Ssor(Ssor::new(sys, solver, policy.engine)),
+            LadderPreconditioner::Ssor(Ssor::new(sys, solver)),
             report_for(attempts, shifts_tried, "ssor", 0.0),
         );
     }
@@ -469,12 +466,11 @@ impl RobustPcg {
         let mut attempts: Vec<RecoveryAttempt> = Vec::new();
         let mut shifts_tried: Vec<f64> = Vec::new();
         let mut breakdown_row: Option<usize> = None;
-        let engine = self.policy.engine;
 
         // Rung 1: plain IC(0). A setup breakdown names the offending pivot
         // row, which rung 2 targets.
         shifts_tried.push(0.0);
-        match Ic0::new(sys, self.pcg.solver(), engine) {
+        match Ic0::new(sys, self.pcg.solver()) {
             Ok(mut pre) => {
                 pre.set_precision(precision);
                 if let Some(outcome) =
@@ -500,8 +496,7 @@ impl RobustPcg {
         // Rung 2: boost only the reported pivot row's diagonal, escalating.
         if let Some(row) = breakdown_row {
             for &beta in self.policy.row_boosts.iter() {
-                let mut pre = match Ic0::new_row_boosted(sys, self.pcg.solver(), engine, row, beta)
-                {
+                let mut pre = match Ic0::new_row_boosted(sys, self.pcg.solver(), row, beta) {
                     Ok(pre) => pre,
                     Err(e) if descends(&e) => {
                         attempts.push(RecoveryAttempt {
@@ -534,7 +529,7 @@ impl RobustPcg {
         // Rung 3: whole-diagonal shifted IC(0) under escalating α.
         for &alpha in self.policy.shifts.iter() {
             shifts_tried.push(alpha);
-            let mut pre = match Ic0::new_shifted(sys, self.pcg.solver(), engine, alpha) {
+            let mut pre = match Ic0::new_shifted(sys, self.pcg.solver(), alpha) {
                 Ok(pre) => pre,
                 Err(e) if descends(&e) => {
                     attempts.push(RecoveryAttempt {
@@ -565,7 +560,7 @@ impl RobustPcg {
 
         // Rung 4: SSOR — setup cannot break down.
         if self.policy.allow_ssor {
-            let mut pre = Ssor::new(sys, self.pcg.solver(), engine);
+            let mut pre = Ssor::new(sys, self.pcg.solver());
             pre.set_precision(precision);
             if let Some(outcome) =
                 Self::try_rung(run, &self.pcg, &mut pre, "ssor", 0.0, &mut attempts)?
@@ -728,7 +723,6 @@ mod tests {
             row_boosts: vec![],
             allow_ssor: false,
             allow_identity: false,
-            engine: SolveEngine::Sequential,
             ..RecoveryPolicy::default()
         };
         // IC(0) itself still runs (the Laplacian factors), so this succeeds…
@@ -758,7 +752,6 @@ mod tests {
             row_boosts: vec![],
             allow_ssor: false,
             allow_identity: false,
-            engine: SolveEngine::Sequential,
             ..RecoveryPolicy::default()
         };
         let robust = RobustPcg::with_policy(Pcg::new(1, Schedule::Static), policy);

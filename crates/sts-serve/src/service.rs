@@ -431,14 +431,18 @@ impl SolverService {
             )
         })?;
         let n = factor.system.n();
-        if b.len() != n * nrhs {
+        // Checked: a wrapped product could match `b` and reach the
+        // workspace allocation below.
+        let Some(len) = n.checked_mul(nrhs) else {
             return Err((
                 ErrorCode::DimensionMismatch,
-                format!(
-                    "b has {} entries, expected n * nrhs = {}",
-                    b.len(),
-                    n * nrhs
-                ),
+                format!("n * nrhs overflows: n = {n}, nrhs = {nrhs}"),
+            ));
+        };
+        if b.len() != len {
+            return Err((
+                ErrorCode::DimensionMismatch,
+                format!("b has {} entries, expected n * nrhs = {len}", b.len()),
             ));
         }
         if let Some(rec) = &self.trace_recorder {

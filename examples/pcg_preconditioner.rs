@@ -6,15 +6,15 @@
 //! example solves an SPD 2-D Laplacian system four ways —
 //!
 //! * plain CG (no preconditioner),
-//! * SSOR-PCG with *sequential* split sweeps,
-//! * SSOR-PCG with *pipelined* parallel sweeps,
-//! * IC(0)-PCG with pipelined parallel sweeps,
+//! * SSOR-PCG with sweeps on one worker,
+//! * SSOR-PCG with sweeps on every available worker,
+//! * IC(0)-PCG with sweeps on every available worker,
 //!
 //! and reports iterations, wall time, and the share of time spent inside
 //! the preconditioner (the fraction the triangular kernels own). The two
-//! SSOR rows demonstrate the subsystem's core invariant: both engines run
-//! bitwise-identical arithmetic, so they take *exactly* the same iteration
-//! count and differ only in speed.
+//! SSOR rows demonstrate the subsystem's core invariant: the sweeps run
+//! bitwise-identical arithmetic on any pool size, so both take *exactly*
+//! the same iteration count and differ only in speed.
 //!
 //! A final section solves four *correlated* right-hand sides at once two
 //! ways — lockstep scalar CG (one recurrence per system) versus block CG on
@@ -23,7 +23,7 @@
 //!
 //! Run with `cargo run --release --example pcg_preconditioner`.
 
-use sts_k::core::{Method, SolveEngine};
+use sts_k::core::Method;
 use sts_k::krylov::{
     Ic0, Identity, KrylovWorkspace, Pcg, PcgOutcome, Preconditioner, SpdSystem, Ssor,
 };
@@ -73,29 +73,30 @@ fn main() {
         .expect("plain CG runs");
     report("plain CG", &plain, &x_true);
 
-    // SSOR-PCG, sequential vs pipelined sweeps: same iterates, faster sweeps.
-    let mut ssor_seq = Ssor::new(&sys, pcg.solver(), SolveEngine::Sequential);
-    let seq = pcg
+    // SSOR-PCG, one worker vs every worker: same iterates, faster sweeps.
+    let pcg1 = Pcg::new(1, Schedule::Guided { min_chunk: 1 });
+    let mut ssor_seq = Ssor::new(&sys, pcg1.solver());
+    let seq = pcg1
         .solve(&sys, &mut ssor_seq, &b, &mut ws)
-        .expect("sequential-sweep PCG runs");
-    report("SSOR-PCG (seq sweeps)", &seq, &x_true);
+        .expect("one-worker PCG runs");
+    report("SSOR-PCG (1 worker)", &seq, &x_true);
 
-    let mut ssor_pip = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
+    let mut ssor_pip = Ssor::new(&sys, pcg.solver());
     let pip = pcg
         .solve(&sys, &mut ssor_pip, &b, &mut ws)
         .expect("pipelined-sweep PCG runs");
-    report("SSOR-PCG (pipelined)", &pip, &x_true);
+    report(&format!("SSOR-PCG ({threads} workers)"), &pip, &x_true);
     assert_eq!(
         seq.iterations, pip.iterations,
-        "the sweep engines are bitwise identical: counts must match exactly"
+        "the sweeps are bitwise identical on any pool size: counts must match exactly"
     );
 
     // IC(0)-PCG: a genuine factorization, same hierarchy, fewer iterations.
-    let mut ic0 = Ic0::new(&sys, pcg.solver(), SolveEngine::Pipelined).expect("laplacian is SPD");
+    let mut ic0 = Ic0::new(&sys, pcg.solver()).expect("laplacian is SPD");
     let ic = pcg
         .solve(&sys, &mut ic0, &b, &mut ws)
         .expect("IC(0)-PCG runs");
-    report("IC(0)-PCG (pipelined)", &ic, &x_true);
+    report(&format!("IC(0)-PCG ({threads} workers)"), &ic, &x_true);
 
     println!(
         "\niteration reduction: SSOR {:.1}x, IC(0) {:.1}x over plain CG",
@@ -103,7 +104,7 @@ fn main() {
         plain.iterations as f64 / ic.iterations.max(1) as f64
     );
     println!(
-        "sweep-engine speedup at equal iterates: {:.2}x on preconditioner time \
+        "{threads}-worker speedup at equal iterates: {:.2}x on preconditioner time \
          ({:.3} ms -> {:.3} ms per solve)",
         seq.seconds_precond / pip.seconds_precond.max(1e-12),
         seq.seconds_precond * 1e3,

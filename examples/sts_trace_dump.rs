@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use sts_k::core::{Method, SolveEngine};
+use sts_k::core::Method;
 use sts_k::krylov::{KrylovWorkspace, Pcg, SpdSystem, Ssor};
 use sts_k::matrix::{generators, ops};
 use sts_k::numa::Schedule;
@@ -38,7 +38,7 @@ fn main() {
     pcg.solver_mut()
         .set_trace_recorder(Some(Arc::clone(&recorder)));
 
-    let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
+    let mut pre = Ssor::new(&sys, pcg.solver());
     let mut ws = KrylovWorkspace::new(sys.n());
     let x_true = vec![1.0; sys.n()];
     let b = ops::spmv(&a, &x_true).expect("dimensions agree");

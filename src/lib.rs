@@ -42,27 +42,27 @@
 //! assert!(x.iter().zip(&x_true).all(|(a, b)| (a - b).abs() < 1e-10));
 //! ```
 //!
-//! # The split engines and the one front door
+//! # The split layout and the one front door
 //!
 //! Every structure also carries a dependency-split layout per sweep
 //! direction ([`core::SplitLayout`]): per stage, the nonzeros referencing
 //! *earlier* stages (a pure, embarrassingly-parallel gather) are separated
-//! from the short in-pack dependence chains. The split engines stream the
-//! former and schedule only the latter, and the multi-RHS bodies amortise
-//! index traffic across right-hand sides. The transpose layout runs the
-//! packs in reverse order, so backward sweeps run on the same kernels.
+//! from the short in-pack dependence chains. The sweep streams the former
+//! and schedules only the latter, and the multi-RHS bodies amortise index
+//! traffic across right-hand sides. The transpose layout runs the packs in
+//! reverse order, so backward sweeps run on the same kernels.
 //!
 //! Every sweep goes through one front door,
 //! [`core::ParallelSolver::solve_into`] (or its allocating wrapper
-//! [`core::ParallelSolver::solve_with`]): engine, sweep direction,
+//! [`core::ParallelSolver::solve_with`]): sweep direction,
 //! right-hand-side count and value-slab precision travel together in one
-//! [`core::SolveOptions`], and every combination has a kernel. All engines
-//! run the same per-row arithmetic, so single-RHS results are bitwise
-//! identical across engines and thread counts:
+//! [`core::SolveOptions`], and every combination has a kernel. One
+//! pack-pipelined orchestrator runs every sweep with the same per-row
+//! arithmetic, so results are bitwise identical across thread counts, and
+//! each lane of a batch is bitwise its single-RHS solve:
 //!
 //! ```
-//! use sts_k::core::{Ordering, ParallelSolver, SolveEngine, SolveOptions, StsBuilder,
-//!                   SweepDirection};
+//! use sts_k::core::{Ordering, ParallelSolver, SolveOptions, StsBuilder, SweepDirection};
 //! use sts_k::matrix::generators;
 //! use sts_k::numa::Schedule;
 //!
@@ -72,16 +72,15 @@
 //! let b = vec![1.0; sts.n()];
 //! let solver = ParallelSolver::new(4, Schedule::Guided { min_chunk: 1 });
 //!
-//! // Two-phase solve: external gather, phase barrier, in-pack chains.
-//! let split = SolveOptions::default().with_engine(SolveEngine::Split);
-//! let x = solver.solve_with(&sts, &b, &split).unwrap();
+//! // Pack-pipelined solve: per pack an external gather, then the in-pack
+//! // chains, with the per-pack barriers fused into an epoch gate so the
+//! // gather of pack p+1 overlaps the chains of pack p on idle workers.
+//! let x = solver.solve_with(&sts, &b, &SolveOptions::default()).unwrap();
 //! assert!((x[0] - sts.solve_sequential(&b).unwrap()[0]).abs() < 1e-12);
 //!
-//! // Pack-pipelined solve (the default engine): same arithmetic, but the
-//! // per-pack barriers are fused into an epoch gate so the gather of pack
-//! // p+1 overlaps the chains of pack p on idle workers.
-//! let xp = solver.solve_with(&sts, &b, &SolveOptions::default()).unwrap();
-//! assert_eq!(xp, x);
+//! // One worker runs the same arithmetic in program order.
+//! let one = ParallelSolver::new(1, Schedule::Static);
+//! assert_eq!(one.solve_with(&sts, &b, &SolveOptions::default()).unwrap(), x);
 //!
 //! // Iterative callers hold one plan per direction and solve into their
 //! // own buffers: no allocation per solve.
@@ -95,9 +94,10 @@
 //! // Four right-hand sides at once, row-major (`B[i * nrhs + r]`).
 //! let nrhs = 4;
 //! let bb: Vec<f64> = (0..sts.n() * nrhs).map(|k| 1.0 + (k % nrhs) as f64).collect();
-//! let xb = solver.solve_with(&sts, &bb, &split.with_nrhs(nrhs)).unwrap();
-//! let xbp = solver.solve_with(&sts, &bb, &SolveOptions::default().with_nrhs(nrhs)).unwrap();
-//! assert_eq!(xb, xbp);
+//! let xb = solver.solve_with(&sts, &bb, &SolveOptions::default().with_nrhs(nrhs)).unwrap();
+//! let b2: Vec<f64> = bb.iter().skip(2).step_by(nrhs).copied().collect();
+//! let x2 = solver.solve_with(&sts, &b2, &SolveOptions::default()).unwrap();
+//! assert!(x2.iter().enumerate().all(|(i, &v)| xb[i * nrhs + 2] == v));
 //! ```
 //!
 //! The split layouts are built lazily on first use; callers that only ever
@@ -113,8 +113,7 @@
 //! or two of iterative refinement:
 //!
 //! ```
-//! use sts_k::core::{Ordering, ParallelSolver, PrecisionPolicy, SolveEngine,
-//!                   SolveOptions, StsBuilder};
+//! use sts_k::core::{Ordering, ParallelSolver, PrecisionPolicy, SolveOptions, StsBuilder};
 //! use sts_k::krylov::{solve_refined, RefineOptions};
 //! use sts_k::matrix::generators;
 //! use sts_k::numa::Schedule;
@@ -124,7 +123,7 @@
 //! let sts = StsBuilder::new(3).ordering(Ordering::Coloring).build(&l).unwrap();
 //! let solver = ParallelSolver::new(4, Schedule::Guided { min_chunk: 1 });
 //! let b = vec![1.0; sts.n()];
-//! let opts = SolveOptions::default().with_engine(SolveEngine::Pipelined);
+//! let opts = SolveOptions::default();
 //! let x = solver.solve_with(&sts, &b, &opts).unwrap();
 //!
 //! // Mixed precision: f32 value slabs, f64 accumulation, refined back to
@@ -148,7 +147,7 @@
 //! too, on the transpose split layout (packs in reverse order):
 //!
 //! ```
-//! use sts_k::core::{Method, SolveEngine};
+//! use sts_k::core::Method;
 //! use sts_k::krylov::{Ic0, KrylovWorkspace, Pcg, SpdSystem, Ssor};
 //! use sts_k::matrix::{generators, ops};
 //! use sts_k::numa::Schedule;
@@ -159,7 +158,7 @@
 //!
 //! // PCG with symmetric Gauss–Seidel sweeps on the pipelined kernels.
 //! let pcg = Pcg::new(4, Schedule::Guided { min_chunk: 1 });
-//! let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
+//! let mut pre = Ssor::new(&sys, pcg.solver());
 //! let mut ws = KrylovWorkspace::new(sys.n());
 //!
 //! let x_true = vec![1.0; sys.n()];
@@ -183,9 +182,9 @@
 //! duplicate right-hand side) is *deflated*: dropped from the basis while
 //! its system keeps iterating on the rest; a converged system is *frozen*
 //! (its updates stop, its direction leaves the basis) while stragglers
-//! finish. Every sweep engine works — the sequential engine's batched
-//! sweeps are bitwise identical per lane to its single-RHS sweeps, so
-//! engine choice works for batches exactly as for single-RHS solves:
+//! finish. The batched sweeps are bitwise identical per lane to the
+//! single-RHS sweeps on any pool size, so batches behave exactly as
+//! single-RHS solves:
 //!
 //! ```
 //! use sts_k::core::Method;
@@ -228,7 +227,7 @@
 //! only moves setup wall time:
 //!
 //! ```
-//! # use sts_k::core::{Method, SolveEngine};
+//! # use sts_k::core::Method;
 //! # use sts_k::krylov::{Ic0, KrylovWorkspace, Pcg, SpdSystem};
 //! # use sts_k::matrix::{generators, ops};
 //! # use sts_k::numa::Schedule;
@@ -238,12 +237,12 @@
 //! # let mut ws = KrylovWorkspace::new(sys.n());
 //! # let b = ops::spmv(&a, &vec![1.0; sys.n()]).unwrap();
 //! // Setup runs level-scheduled on the pool; sweeps run pipelined.
-//! let mut ic0 = Ic0::new_parallel(&sys, pcg.solver(), SolveEngine::Pipelined).unwrap();
+//! let mut ic0 = Ic0::new_parallel(&sys, pcg.solver()).unwrap();
 //! let out_ic0 = pcg.solve(&sys, &mut ic0, &b, &mut ws).unwrap();
 //! assert!(out_ic0.converged);
 //!
 //! // Bitwise-identical fallback, for single-core hosts.
-//! let seq = Ic0::new_sequential(&sys, pcg.solver(), SolveEngine::Sequential).unwrap();
+//! let seq = Ic0::new_sequential(&sys, pcg.solver()).unwrap();
 //! assert_eq!(seq.factor_values(), ic0.factor_values());
 //! ```
 //!
@@ -273,7 +272,7 @@
 //!   worker has no peer to starve, so a stall there is just a slow success.
 //! * **Preconditioner breakdown.** IC(0) on an SPD-but-not-M matrix can hit
 //!   a non-positive pivot (`FactorizationBreakdown { row, pivot }`, bitwise
-//!   identical between the sequential and level-scheduled engines).
+//!   identical between the sequential and level-scheduled setups).
 //!   [`krylov::RobustPcg`] wraps [`krylov::Pcg`] in a recovery ladder: it
 //!   first retries with only the *reported breakdown row's* diagonal
 //!   boosted (the targeted `ic0-rowboost` rung, under

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::time::{Duration, Instant};
 
 use sts_bench::faultinject;
-use sts_k::core::{ChaosHook, Method, ParallelSolver, SolveEngine, SolveOptions};
+use sts_k::core::{ChaosHook, Method, ParallelSolver, SolveOptions};
 use sts_k::krylov::{
     Ic0, KrylovWorkspace, Pcg, Preconditioner, RecoveryPolicy, RobustPcg, SpdSystem,
 };
@@ -345,18 +345,15 @@ fn breakdown_error_is_identical_at_every_thread_count() {
 }
 
 #[test]
-fn shifted_ic0_engines_are_bitwise_identical_across_the_ladder() {
+fn shifted_ic0_setups_are_bitwise_identical_across_the_ladder() {
     let a = generators::grid2d_laplacian(16, 16).unwrap();
     let sys = SpdSystem::build(&a, Method::Sts3, 8).unwrap();
     for threads in thread_counts() {
         within_budget("shifted parity", || {
             let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
             for alpha in [1e-3, 1e-1, 1.0] {
-                let seq =
-                    Ic0::new_shifted_sequential(&sys, &solver, SolveEngine::Sequential, alpha)
-                        .unwrap();
-                let par = Ic0::new_shifted_parallel(&sys, &solver, SolveEngine::Sequential, alpha)
-                    .unwrap();
+                let seq = Ic0::new_shifted_sequential(&sys, &solver, alpha).unwrap();
+                let par = Ic0::new_shifted_parallel(&sys, &solver, alpha).unwrap();
                 assert_eq!(
                     seq.factor_values(),
                     par.factor_values(),
@@ -535,7 +532,7 @@ fn chaos_hooks_compose_with_the_krylov_driver() {
             let mut pcg = Pcg::new(threads, Schedule::Guided { min_chunk: 1 });
             pcg.solver_mut()
                 .set_chaos_hook(Some(faultinject::panic_hook(0)));
-            let mut pre = sts_k::krylov::Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
+            let mut pre = sts_k::krylov::Ssor::new(&sys, pcg.solver());
             let mut ws = KrylovWorkspace::new(sys.n());
             let b = vec![1.0; sys.n()];
             let err = pcg

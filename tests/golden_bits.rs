@@ -1,13 +1,13 @@
 //! Golden-bits guard for the triangular sweep kernels.
 //!
-//! Pins the exact `f64` bit patterns every sweep engine produces on one
-//! small fixed STS-3 structure, for both directions, batch widths
-//! {1, 3, 9} (9 crosses the 8-wide register tile of the parallel batch
-//! kernels) and both value-slab precisions, against the committed snapshot
+//! Pins the exact `f64` bit patterns the sweeps produce on one small fixed
+//! STS-3 structure, for both directions, batch widths {1, 3, 9} (9 crosses
+//! the 8-wide accumulator blocks of the batch bodies) and both value-slab
+//! precisions, against the committed snapshot
 //! `tests/contract/golden_bits.txt`. Each snapshot line is one
-//! `direction engine nrhs precision` cell; the solve must reproduce it
-//! bit for bit at 1 and at 4 worker threads. The split and pipelined
-//! engines share their batch arithmetic, so their batch cells are equal.
+//! `direction nrhs precision` cell; the solve must reproduce it bit for
+//! bit at 1, 2 and 4 worker threads. Each lane of a batch cell is bitwise
+//! the single-RHS solve of that lane.
 //!
 //! To regenerate after an *intentional* change of kernel arithmetic:
 //!
@@ -19,8 +19,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use sts_k::core::{
-    Method, ParallelSolver, PrecisionPolicy, SolveEngine, SolveOptions, StsStructure,
-    SweepDirection,
+    Method, ParallelSolver, PrecisionPolicy, SolveOptions, StsStructure, SweepDirection,
 };
 use sts_k::matrix::generators;
 use sts_k::numa::Schedule;
@@ -49,35 +48,27 @@ fn render(s: &StsStructure, threads: usize) -> String {
     let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
     let mut out = String::new();
     for direction in [SweepDirection::Forward, SweepDirection::Transpose] {
-        for engine in [
-            SolveEngine::Sequential,
-            SolveEngine::Split,
-            SolveEngine::Pipelined,
-        ] {
-            for nrhs in [1usize, 3, 9] {
-                for precision in [
-                    PrecisionPolicy::ValuesF64,
-                    PrecisionPolicy::ValuesF32WithRefinement,
-                ] {
-                    let opts = SolveOptions::default()
-                        .with_engine(engine)
-                        .with_direction(direction)
-                        .with_nrhs(nrhs)
-                        .with_precision(precision);
-                    let x = solve_cell(&solver, s, &opts);
-                    write!(
-                        out,
-                        "{} {} nrhs={nrhs} {}:",
-                        direction.as_str(),
-                        engine.as_str(),
-                        precision.as_str()
-                    )
-                    .unwrap();
-                    for v in x {
-                        write!(out, " {:016x}", v.to_bits()).unwrap();
-                    }
-                    out.push('\n');
+        for nrhs in [1usize, 3, 9] {
+            for precision in [
+                PrecisionPolicy::ValuesF64,
+                PrecisionPolicy::ValuesF32WithRefinement,
+            ] {
+                let opts = SolveOptions::default()
+                    .with_direction(direction)
+                    .with_nrhs(nrhs)
+                    .with_precision(precision);
+                let x = solve_cell(&solver, s, &opts);
+                write!(
+                    out,
+                    "{} nrhs={nrhs} {}:",
+                    direction.as_str(),
+                    precision.as_str()
+                )
+                .unwrap();
+                for v in x {
+                    write!(out, " {:016x}", v.to_bits()).unwrap();
                 }
+                out.push('\n');
             }
         }
     }
@@ -104,7 +95,7 @@ fn every_sweep_cell_reproduces_its_golden_bits() {
             path.display()
         )
     });
-    for threads in [1usize, 4] {
+    for threads in [1usize, 2, 4] {
         let actual = render(&s, threads);
         for (want, got) in expected.lines().zip(actual.lines()) {
             let cell = want.split(':').next().unwrap_or_default();

@@ -1,9 +1,9 @@
 //! End-to-end tests of the `sts-krylov` subsystem against a dense reference:
-//! PCG (plain, SSOR, IC(0); sequential and pipelined sweep engines) must
+//! PCG (plain, SSOR, IC(0)) must
 //! converge to the dense-Cholesky solution of the synthetic SPD suite (grid
 //! Laplacians) within an iteration bound.
 
-use sts_k::core::{Method, SolveEngine};
+use sts_k::core::Method;
 use sts_k::krylov::{
     Ic0, Identity, KrylovWorkspace, Pcg, PcgOptions, Preconditioner, SpdSystem, Ssor, Tolerance,
 };
@@ -94,18 +94,8 @@ fn pcg_matches_the_dense_reference_on_the_spd_suite() {
         let mut ws = KrylovWorkspace::new(n);
         let mut preconditioners: Vec<(&str, Box<dyn Preconditioner>)> = vec![
             ("none", Box::new(Identity)),
-            (
-                "ssor-seq",
-                Box::new(Ssor::new(&sys, pcg.solver(), SolveEngine::Sequential)),
-            ),
-            (
-                "ssor-pipelined",
-                Box::new(Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined)),
-            ),
-            (
-                "ic0-pipelined",
-                Box::new(Ic0::new(&sys, pcg.solver(), SolveEngine::Pipelined).unwrap()),
-            ),
+            ("ssor", Box::new(Ssor::new(&sys, pcg.solver()))),
+            ("ic0", Box::new(Ic0::new(&sys, pcg.solver()).unwrap())),
         ];
         for (label, pre) in preconditioners.iter_mut() {
             let out = pcg.solve(&sys, pre.as_mut(), &b, &mut ws).unwrap();
@@ -137,7 +127,7 @@ fn batched_pcg_matches_the_dense_reference() {
     let n = sys.n();
     let nrhs = 4;
     let pcg = Pcg::new(3, Schedule::Guided { min_chunk: 1 });
-    let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
+    let mut pre = Ssor::new(&sys, pcg.solver());
     let mut b = vec![0.0; n * nrhs];
     let mut x_ref = vec![0.0; n * nrhs];
     for q in 0..nrhs {
@@ -161,8 +151,8 @@ fn batched_pcg_matches_the_dense_reference() {
 
 #[test]
 fn block_pcg_matches_the_dense_reference() {
-    // Block CG against the ground-truth oracle, on both sweep engines and
-    // both preconditioner families, to the acceptance bar of 1e-8.
+    // Block CG against the ground-truth oracle, on both preconditioner
+    // families, to the acceptance bar of 1e-8.
     let a = generators::grid2d_laplacian(12, 10).unwrap();
     let sys = SpdSystem::build(&a, Method::Sts3, 8).unwrap();
     let n = sys.n();
@@ -191,18 +181,8 @@ fn block_pcg_matches_the_dense_reference() {
     let mut ws = KrylovWorkspace::with_nrhs(n, nrhs);
     let mut preconditioners: Vec<(&str, Box<dyn Preconditioner>)> = vec![
         ("none", Box::new(Identity)),
-        (
-            "ssor-seq",
-            Box::new(Ssor::new(&sys, pcg.solver(), SolveEngine::Sequential)),
-        ),
-        (
-            "ssor-pipelined",
-            Box::new(Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined)),
-        ),
-        (
-            "ic0-pipelined",
-            Box::new(Ic0::new(&sys, pcg.solver(), SolveEngine::Pipelined).unwrap()),
-        ),
+        ("ssor", Box::new(Ssor::new(&sys, pcg.solver()))),
+        ("ic0", Box::new(Ic0::new(&sys, pcg.solver()).unwrap())),
     ];
     for (label, pre) in preconditioners.iter_mut() {
         let out = pcg

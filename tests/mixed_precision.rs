@@ -5,17 +5,17 @@
 //!
 //! * **Refined accuracy.** A triangular solve on the f32 slabs, wrapped in
 //!   [`solve_refined`](sts_k::krylov::solve_refined), lands within 1e-10 of
-//!   the f64 direct solve — across both orderings, both multi-level depths,
-//!   several worker counts and every engine, on randomly generated operands.
-//! * **Engine independence.** The f32 sweep kernels are bitwise identical
-//!   across engines (like their f64 counterparts), so a PCG run whose
-//!   preconditioner reads the f32 slabs takes *exactly* the same number of
-//!   iterations whichever engine performs the sweeps.
+//!   the f64 direct solve — across both orderings, both multi-level depths
+//!   and several worker counts, on randomly generated operands.
+//! * **Worker-count independence.** The f32 sweep kernels are bitwise
+//!   identical across worker counts (like their f64 counterparts), so a
+//!   PCG run whose preconditioner reads the f32 slabs takes *exactly* the
+//!   same number of iterations on any pool size.
 
 use proptest::prelude::*;
 use sts_k::core::{
-    Method, Ordering, ParallelSolver, PrecisionPolicy, SolveEngine, SolveOptions, StsBuilder,
-    SuperRowSizing, SweepDirection,
+    Method, Ordering, ParallelSolver, PrecisionPolicy, SolveOptions, StsBuilder, SuperRowSizing,
+    SweepDirection,
 };
 use sts_k::krylov::{
     solve_refined, KrylovWorkspace, Pcg, Preconditioner, RefineOptions, SpdSystem, Ssor,
@@ -60,34 +60,24 @@ proptest! {
                         let reference = solver
                             .solve_with(&s, rhs, &SolveOptions::default().with_direction(direction))
                             .unwrap();
-                        for engine in
-                            [SolveEngine::Sequential, SolveEngine::Split, SolveEngine::Pipelined]
-                        {
-                            let opts = SolveOptions::default()
-                                .with_engine(engine)
-                                .with_direction(direction)
-                                .with_precision(PrecisionPolicy::ValuesF32WithRefinement);
-                            let out = solve_refined(
-                                &solver,
-                                &s,
-                                rhs,
-                                &opts,
-                                &RefineOptions::default(),
-                            )
-                            .unwrap();
-                            prop_assert!(
-                                out.converged,
-                                "refinement stalled ({ordering:?}, k={k}, {threads} threads, \
-                                 {engine:?}, {direction:?}, n={})",
-                                s.n()
-                            );
-                            prop_assert!(
-                                ops::relative_error_inf(&out.x, &reference) < 1e-10,
-                                "refined f32 solve drifted from f64 ({ordering:?}, k={k}, \
-                                 {threads} threads, {engine:?}, {direction:?}, n={})",
-                                s.n()
-                            );
-                        }
+                        let opts = SolveOptions::default()
+                            .with_direction(direction)
+                            .with_precision(PrecisionPolicy::ValuesF32WithRefinement);
+                        let out =
+                            solve_refined(&solver, &s, rhs, &opts, &RefineOptions::default())
+                                .unwrap();
+                        prop_assert!(
+                            out.converged,
+                            "refinement stalled ({ordering:?}, k={k}, {threads} threads, \
+                             {direction:?}, n={})",
+                            s.n()
+                        );
+                        prop_assert!(
+                            ops::relative_error_inf(&out.x, &reference) < 1e-10,
+                            "refined f32 solve drifted from f64 ({ordering:?}, k={k}, \
+                             {threads} threads, {direction:?}, n={})",
+                            s.n()
+                        );
                     }
                 }
             }
@@ -96,11 +86,10 @@ proptest! {
 }
 
 /// The f32 sweep kernels, like the f64 ones, are bitwise identical across
-/// engines for single right-hand sides — so a mixed-precision PCG run must
-/// take exactly the same iteration count whichever engine the
-/// preconditioner sweeps on, at any worker count.
+/// worker counts — so a mixed-precision PCG run must take exactly the same
+/// iteration count on any pool size.
 #[test]
-fn f32_pcg_iteration_counts_are_engine_independent() {
+fn f32_pcg_iteration_counts_are_worker_count_independent() {
     let a = generators::triangulated_grid(16, 13, 11).unwrap();
     let sys = SpdSystem::build(&a, Method::Sts3, 8).unwrap();
     let x_true: Vec<f64> = (0..sys.n())
@@ -111,34 +100,19 @@ fn f32_pcg_iteration_counts_are_engine_independent() {
     let mut counts = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let pcg = Pcg::new(threads, Schedule::Guided { min_chunk: 1 });
-        let mut per_engine = Vec::new();
-        for engine in [
-            SolveEngine::Sequential,
-            SolveEngine::Split,
-            SolveEngine::Pipelined,
-        ] {
-            let mut pre = Ssor::new(&sys, pcg.solver(), engine);
-            let mut ws = KrylovWorkspace::new(sys.n());
-            let out = pcg
-                .solve_with(&sys, &mut pre, &b, &mut ws, &f32_opts)
-                .unwrap();
-            assert!(out.converged, "{engine:?} at {threads} threads diverged");
-            assert_eq!(
-                pre.precision(),
-                PrecisionPolicy::ValuesF32WithRefinement,
-                "solve_with must switch the preconditioner's slabs"
-            );
-            per_engine.push(out.iterations);
-        }
-        assert!(
-            per_engine.windows(2).all(|w| w[0] == w[1]),
-            "f32-path iteration counts diverged across engines at {threads} threads: \
-             {per_engine:?}"
+        let mut pre = Ssor::new(&sys, pcg.solver());
+        let mut ws = KrylovWorkspace::new(sys.n());
+        let out = pcg
+            .solve_with(&sys, &mut pre, &b, &mut ws, &f32_opts)
+            .unwrap();
+        assert!(out.converged, "{threads} threads diverged");
+        assert_eq!(
+            pre.precision(),
+            PrecisionPolicy::ValuesF32WithRefinement,
+            "solve_with must switch the preconditioner's slabs"
         );
-        counts.push(per_engine[0]);
+        counts.push(out.iterations);
     }
-    // Engine independence holds per worker count; the bitwise kernels make
-    // the count identical across worker counts too.
     assert!(
         counts.windows(2).all(|w| w[0] == w[1]),
         "f32-path iteration counts diverged across worker counts: {counts:?}"

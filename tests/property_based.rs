@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use sts_k::core::{
-    Method, Ordering, ParallelSolver, SolveEngine, SolveOptions, StsBuilder, StsStructure,
-    SuperRowSizing, SweepDirection,
+    Method, Ordering, ParallelSolver, SolveOptions, StsBuilder, StsStructure, SuperRowSizing,
+    SweepDirection,
 };
 use sts_k::graph::{rcm, Coloring, ColoringOrder, Graph, LevelSets, Permutation};
 use sts_k::matrix::suite::{SuiteScale, TestSuite};
@@ -29,12 +29,10 @@ fn sweep(
     solver: &ParallelSolver,
     s: &StsStructure,
     b: &[f64],
-    engine: SolveEngine,
     direction: SweepDirection,
     nrhs: usize,
 ) -> Vec<f64> {
     let opts = SolveOptions::default()
-        .with_engine(engine)
         .with_direction(direction)
         .with_nrhs(nrhs);
     solver.solve_with(s, b, &opts).unwrap()
@@ -80,8 +78,8 @@ proptest! {
 
     #[test]
     fn split_and_batch_kernels_match_sequential(l in lower_triangular_strategy()) {
-        // The tentpole invariant: the two-phase split kernels and the
-        // multi-RHS batch kernel agree with the reference sequential solve to
+        // The tentpole invariant: the two-phase split-layout sweep and its
+        // multi-RHS batch agree with the reference sequential solve to
         // 1e-12, across both orderings, both multi-level depths and several
         // worker counts.
         let nrhs = 3;
@@ -96,9 +94,6 @@ proptest! {
                 let x_true: Vec<f64> = (0..n).map(|i| 0.5 + (i % 6) as f64 * 0.4).collect();
                 let b = s.lower().multiply(&x_true).unwrap();
                 let seq = s.solve_sequential(&b).unwrap();
-                let one = ParallelSolver::new(1, Schedule::Static);
-                let seq_split = sweep(&one, &s, &b, SolveEngine::Sequential, FWD, 1);
-                prop_assert!(ops::relative_error_inf(&seq_split, &seq) < 1e-12);
                 // Batched right-hand sides: shifted copies of b, expected
                 // solutions from the reference kernel per system.
                 let mut bb = vec![0.0; n * nrhs];
@@ -111,32 +106,18 @@ proptest! {
                         expected[i * nrhs + r] = xr[i];
                     }
                 }
-                let xb = sweep(&one, &s, &bb, SolveEngine::Sequential, FWD, nrhs);
-                prop_assert!(ops::relative_error_inf(&xb, &expected) < 1e-12);
                 for threads in [1usize, 2, 4, 8] {
                     let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                    let par_split = sweep(&solver, &s, &b, SolveEngine::Split, FWD, 1);
+                    let x = sweep(&solver, &s, &b, FWD, 1);
                     prop_assert!(
-                        ops::relative_error_inf(&par_split, &seq) < 1e-12,
-                        "split diverged ({:?}, k={k}, {threads} threads, n={n})",
+                        ops::relative_error_inf(&x, &seq) < 1e-12,
+                        "sweep diverged ({:?}, k={k}, {threads} threads, n={n})",
                         ordering
                     );
-                    let par_piped = sweep(&solver, &s, &b, SolveEngine::Pipelined, FWD, 1);
+                    let xb = sweep(&solver, &s, &bb, FWD, nrhs);
                     prop_assert!(
-                        ops::relative_error_inf(&par_piped, &seq) < 1e-12,
-                        "pipelined diverged ({:?}, k={k}, {threads} threads, n={n})",
-                        ordering
-                    );
-                    let par_batch = sweep(&solver, &s, &bb, SolveEngine::Split, FWD, nrhs);
-                    prop_assert!(
-                        ops::relative_error_inf(&par_batch, &expected) < 1e-12,
-                        "split batch diverged ({:?}, k={k}, {threads} threads, n={n})",
-                        ordering
-                    );
-                    let batch_piped = sweep(&solver, &s, &bb, SolveEngine::Pipelined, FWD, nrhs);
-                    prop_assert!(
-                        ops::relative_error_inf(&batch_piped, &expected) < 1e-12,
-                        "pipelined batch diverged ({:?}, k={k}, {threads} threads, n={n})",
+                        ops::relative_error_inf(&xb, &expected) < 1e-12,
+                        "batch diverged ({:?}, k={k}, {threads} threads, n={n})",
                         ordering
                     );
                 }
@@ -145,14 +126,14 @@ proptest! {
     }
 
     #[test]
-    fn sequential_batch_sweeps_are_bitwise_identical_to_per_rhs_sweeps(
+    fn batch_sweeps_are_bitwise_identical_to_per_rhs_sweeps(
         l in lower_triangular_strategy()
     ) {
-        // The engine-matrix invariant behind single-core batched
-        // preconditioning: every lane of the sequential engine's batches
-        // (forward and transpose) runs the single-RHS bodies' exact
-        // floating-point sequence, so equality is ==, not a tolerance —
-        // across both orderings and both multi-level depths.
+        // The invariant behind batched preconditioning: every lane of a
+        // batch sweep (forward and transpose) runs the single-RHS bodies'
+        // exact floating-point sequence, so equality is ==, not a
+        // tolerance — across both orderings, both multi-level depths and
+        // one or several workers.
         let nrhs = 3;
         for ordering in [Ordering::LevelSet, Ordering::Coloring] {
             for k in [2usize, 3] {
@@ -168,24 +149,26 @@ proptest! {
                         bb[i * nrhs + q] = 0.5 + ((i * 5 + q * 7) % 11) as f64 * 0.35;
                     }
                 }
-                let one = ParallelSolver::new(1, Schedule::Static);
-                let xb = sweep(&one, &s, &bb, SolveEngine::Sequential, FWD, nrhs);
-                let tb = sweep(&one, &s, &bb, SolveEngine::Sequential, BWD, nrhs);
-                for q in 0..nrhs {
-                    let bq: Vec<f64> = (0..n).map(|i| bb[i * nrhs + q]).collect();
-                    let xq = sweep(&one, &s, &bq, SolveEngine::Sequential, FWD, 1);
-                    let tq = sweep(&one, &s, &bq, SolveEngine::Sequential, BWD, 1);
-                    for i in 0..n {
-                        prop_assert_eq!(
-                            xb[i * nrhs + q], xq[i],
-                            "forward lane {} diverged at row {} ({:?}, k={})",
-                            q, i, ordering, k
-                        );
-                        prop_assert_eq!(
-                            tb[i * nrhs + q], tq[i],
-                            "backward lane {} diverged at row {} ({:?}, k={})",
-                            q, i, ordering, k
-                        );
+                for threads in [1usize, 3] {
+                    let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+                    let xb = sweep(&solver, &s, &bb, FWD, nrhs);
+                    let tb = sweep(&solver, &s, &bb, BWD, nrhs);
+                    for q in 0..nrhs {
+                        let bq: Vec<f64> = (0..n).map(|i| bb[i * nrhs + q]).collect();
+                        let xq = sweep(&solver, &s, &bq, FWD, 1);
+                        let tq = sweep(&solver, &s, &bq, BWD, 1);
+                        for i in 0..n {
+                            prop_assert_eq!(
+                                xb[i * nrhs + q], xq[i],
+                                "forward lane {} diverged at row {} ({:?}, k={}, {} threads)",
+                                q, i, ordering, k, threads
+                            );
+                            prop_assert_eq!(
+                                tb[i * nrhs + q], tq[i],
+                                "backward lane {} diverged at row {} ({:?}, k={}, {} threads)",
+                                q, i, ordering, k, threads
+                            );
+                        }
                     }
                 }
             }
@@ -194,10 +177,9 @@ proptest! {
 
     #[test]
     fn transpose_kernels_match_the_sequential_backward_sweep(l in lower_triangular_strategy()) {
-        // The PR-3 tentpole invariant: the parallel backward-sweep kernels
-        // (two-phase split and pack-pipelined, packs in reverse order) agree
-        // with the sequential column sweep to 1e-12 across both orderings,
-        // both multi-level depths and several worker counts.
+        // The parallel backward sweep (packs in reverse order) agrees with
+        // the sequential column sweep to 1e-12 across both orderings, both
+        // multi-level depths and several worker counts.
         for ordering in [Ordering::LevelSet, Ordering::Coloring] {
             for k in [2usize, 3] {
                 let s = StsBuilder::new(k)
@@ -209,21 +191,12 @@ proptest! {
                 let x_true: Vec<f64> = (0..n).map(|i| 0.5 + (i % 6) as f64 * 0.4).collect();
                 let b = s.lower().multiply_transpose(&x_true).unwrap();
                 let seq = s.lower().solve_transpose_seq(&b).unwrap();
-                let one = ParallelSolver::new(1, Schedule::Static);
-                let seq_split = sweep(&one, &s, &b, SolveEngine::Sequential, BWD, 1);
-                prop_assert!(ops::relative_error_inf(&seq_split, &seq) < 1e-12);
                 for threads in [1usize, 2, 4, 8] {
                     let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                    let par_split = sweep(&solver, &s, &b, SolveEngine::Split, BWD, 1);
+                    let x = sweep(&solver, &s, &b, BWD, 1);
                     prop_assert!(
-                        ops::relative_error_inf(&par_split, &seq) < 1e-12,
-                        "transpose split diverged ({:?}, k={k}, {threads} threads, n={n})",
-                        ordering
-                    );
-                    let par_piped = sweep(&solver, &s, &b, SolveEngine::Pipelined, BWD, 1);
-                    prop_assert!(
-                        ops::relative_error_inf(&par_piped, &seq) < 1e-12,
-                        "transpose pipelined diverged ({:?}, k={k}, {threads} threads, n={n})",
+                        ops::relative_error_inf(&x, &seq) < 1e-12,
+                        "transpose sweep diverged ({:?}, k={k}, {threads} threads, n={n})",
                         ordering
                     );
                 }
@@ -344,13 +317,6 @@ fn split_kernels_match_sequential_on_the_synthetic_suite() {
                 let x_true: Vec<f64> = (0..n).map(|i| 1.0 + (i % 9) as f64 * 0.25).collect();
                 let b = s.lower().multiply(&x_true).unwrap();
                 let seq = s.solve_sequential(&b).unwrap();
-                let one = ParallelSolver::new(1, Schedule::Static);
-                let seq_split = sweep(&one, &s, &b, SolveEngine::Sequential, FWD, 1);
-                assert!(
-                    ops::relative_error_inf(&seq_split, &seq) < 1e-12,
-                    "sequential split diverged on {} ({ordering:?}, k={k})",
-                    m.id.label()
-                );
                 let mut bb = vec![0.0; n * nrhs];
                 let mut expected = vec![0.0; n * nrhs];
                 for r in 0..nrhs {
@@ -361,29 +327,20 @@ fn split_kernels_match_sequential_on_the_synthetic_suite() {
                         expected[i * nrhs + r] = xr[i];
                     }
                 }
-                let seq_batch = sweep(&one, &s, &bb, SolveEngine::Sequential, FWD, nrhs);
-                assert!(
-                    ops::relative_error_inf(&seq_batch, &expected) < 1e-12,
-                    "sequential batch diverged on {} ({ordering:?}, k={k})",
-                    m.id.label()
-                );
                 for threads in [1usize, 2, 4, 8] {
                     let solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
-                    for engine in [SolveEngine::Split, SolveEngine::Pipelined] {
-                        let x = sweep(&solver, &s, &b, engine, FWD, 1);
-                        assert!(
-                            ops::relative_error_inf(&x, &seq) < 1e-12,
-                            "{engine:?} diverged on {} ({ordering:?}, k={k}, {threads} threads)",
-                            m.id.label()
-                        );
-                        let xb = sweep(&solver, &s, &bb, engine, FWD, nrhs);
-                        assert!(
-                            ops::relative_error_inf(&xb, &expected) < 1e-12,
-                            "{engine:?} batch diverged on {} ({ordering:?}, k={k}, {threads} \
-                             threads)",
-                            m.id.label()
-                        );
-                    }
+                    let x = sweep(&solver, &s, &b, FWD, 1);
+                    assert!(
+                        ops::relative_error_inf(&x, &seq) < 1e-12,
+                        "sweep diverged on {} ({ordering:?}, k={k}, {threads} threads)",
+                        m.id.label()
+                    );
+                    let xb = sweep(&solver, &s, &bb, FWD, nrhs);
+                    assert!(
+                        ops::relative_error_inf(&xb, &expected) < 1e-12,
+                        "batch diverged on {} ({ordering:?}, k={k}, {threads} threads)",
+                        m.id.label()
+                    );
                 }
             }
         }

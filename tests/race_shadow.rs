@@ -16,8 +16,8 @@
 use std::sync::Arc;
 
 use sts_k::core::{
-    factor_spec, solve_spec, Method, Ordering, ParallelSolver, SolveEngine, SolveOptions,
-    StsBuilder, SuperRowSizing, SweepDirection,
+    factor_spec, solve_spec, Method, Ordering, ParallelSolver, SolveOptions, StsBuilder,
+    SuperRowSizing, SweepDirection,
 };
 use sts_k::matrix::generators;
 use sts_k::numa::Schedule;
@@ -34,7 +34,7 @@ fn replay(log: &AccessLog, spec: &ScheduleSpec, what: &str) {
 }
 
 #[test]
-fn every_solve_engine_touches_exactly_the_modelled_footprints() {
+fn every_sweep_touches_exactly_the_modelled_footprints() {
     let l = generators::random_lower_triangular(120, 3.0, 42).unwrap();
     for ordering in [Ordering::LevelSet, Ordering::Coloring] {
         for k in [2usize, 3] {
@@ -45,7 +45,7 @@ fn every_solve_engine_touches_exactly_the_modelled_footprints() {
                 .unwrap();
             // The model is chunk-granularity-independent after replay
             // flattening, so one row-granularity spec per direction covers
-            // every engine, batch width and thread count (a batch row is
+            // every batch width and thread count (a batch row is
             // recorded once, reading the same rows for every lane).
             for direction in [SweepDirection::Forward, SweepDirection::Transpose] {
                 let spec = solve_spec(&s, usize::MAX, direction);
@@ -54,21 +54,17 @@ fn every_solve_engine_touches_exactly_the_modelled_footprints() {
                         ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
                     let log = Arc::new(AccessLog::new());
                     solver.set_shadow_log(Some(log.clone()));
-                    for engine in [SolveEngine::Split, SolveEngine::Pipelined] {
-                        for nrhs in [1usize, 3] {
-                            let opts = SolveOptions::default()
-                                .with_engine(engine)
-                                .with_direction(direction)
-                                .with_nrhs(nrhs);
-                            solver
-                                .solve_with(&s, &vec![1.0; s.n() * nrhs], &opts)
-                                .unwrap();
-                            let tag = format!(
-                                "{engine:?} {direction:?} nrhs={nrhs} {ordering:?} k={k} \
-                                 threads={threads}"
-                            );
-                            replay(&log, &spec, &tag);
-                        }
+                    for nrhs in [1usize, 3] {
+                        let opts = SolveOptions::default()
+                            .with_direction(direction)
+                            .with_nrhs(nrhs);
+                        solver
+                            .solve_with(&s, &vec![1.0; s.n() * nrhs], &opts)
+                            .unwrap();
+                        let tag = format!(
+                            "{direction:?} nrhs={nrhs} {ordering:?} k={k} threads={threads}"
+                        );
+                        replay(&log, &spec, &tag);
                     }
                 }
             }

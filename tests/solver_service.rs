@@ -201,6 +201,36 @@ fn served_solves_match_the_direct_api_bitwise() {
 }
 
 #[test]
+fn an_overflowing_batch_length_is_a_dimension_mismatch() {
+    // n · nrhs = 576 · 2^58 wraps to 0 in a 64-bit `usize`, which an empty
+    // `b` would match; the length check must catch the overflow before the
+    // workspace allocation, and the service must keep serving afterwards.
+    let a = generators::grid2d_laplacian(24, 24).unwrap();
+    let mut service = SolverService::new(ServiceConfig::default());
+    let key = submit(&mut service, &a, "STS-3", 8);
+    let line = solve_request(
+        6,
+        &key,
+        &[],
+        vec![
+            ("mode", Value::Str("batch".to_string())),
+            ("nrhs", Value::UInt(1 << 58)),
+        ],
+    );
+    assert_eq!(
+        error_code_of(&service.handle_line(&line).line),
+        "dimension_mismatch"
+    );
+    let b = vec![1.0; a.nrows()];
+    let served = result_of(
+        &service
+            .handle_line(&solve_request(7, &key, &b, vec![]))
+            .line,
+    );
+    assert_eq!(served.get("converged").and_then(Value::as_bool), Some(true));
+}
+
+#[test]
 fn lru_eviction_drops_the_coldest_pattern() {
     let a = generators::grid2d_laplacian(8, 8).unwrap();
     let mut service = SolverService::new(ServiceConfig {

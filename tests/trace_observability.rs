@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 use serde::Value;
-use sts_k::core::{Method, ParallelSolver, SolveEngine, SolveOptions, SweepDirection};
+use sts_k::core::{Method, ParallelSolver, SolveOptions, SweepDirection};
 use sts_k::krylov::{KrylovWorkspace, Pcg, SpdSystem, Ssor};
 use sts_k::matrix::{generators, ops};
 use sts_k::numa::Schedule;
@@ -27,7 +27,7 @@ fn traced_laplacian_solve() -> (Arc<SpanRecorder>, SpdSystem) {
     recorder.enable();
     pcg.solver_mut()
         .set_trace_recorder(Some(Arc::clone(&recorder)));
-    let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
+    let mut pre = Ssor::new(&sys, pcg.solver());
     let mut ws = KrylovWorkspace::new(sys.n());
     let b = ops::spmv(&a, &vec![1.0; sys.n()]).unwrap();
     let out = pcg.solve(&sys, &mut pre, &b, &mut ws).unwrap();
@@ -97,7 +97,7 @@ fn installed_but_disabled_recorder_stays_silent() {
     // Installed but never enabled: the disabled path must record nothing.
     pcg.solver_mut()
         .set_trace_recorder(Some(Arc::clone(&recorder)));
-    let mut pre = Ssor::new(&sys, pcg.solver(), SolveEngine::Pipelined);
+    let mut pre = Ssor::new(&sys, pcg.solver());
     let mut ws = KrylovWorkspace::new(sys.n());
     let b = ops::spmv(&a, &vec![1.0; sys.n()]).unwrap();
     pcg.solve(&sys, &mut pre, &b, &mut ws).unwrap();
@@ -106,32 +106,30 @@ fn installed_but_disabled_recorder_stays_silent() {
 }
 
 #[test]
-fn split_transpose_and_batch_sweeps_record_gather_and_chain_spans() {
-    // Every orchestrator runs the same span instrumentation around the
-    // shared row bodies: a traced split-engine transpose sweep and traced
-    // batch sweeps on both parallel engines each record both solve phases.
+fn transpose_and_batch_sweeps_record_gather_and_chain_spans() {
+    // The orchestrator runs the same span instrumentation around every row
+    // body: traced transpose and batch sweeps, on one and on several
+    // workers, each record both solve phases.
     let a = generators::grid2d_laplacian(40, 40).unwrap();
     let l = generators::lower_operand(&a).unwrap();
     let s = Method::Sts3.build(&l, 40).unwrap();
-    let mut solver = ParallelSolver::new(4, Schedule::Guided { min_chunk: 1 });
     let recorder = Arc::new(SpanRecorder::new(1 << 16));
     recorder.enable();
-    solver.set_trace_recorder(Some(Arc::clone(&recorder)));
-    let split = SolveOptions::default().with_engine(SolveEngine::Split);
-    for opts in [
-        split.with_direction(SweepDirection::Transpose),
-        split.with_nrhs(3),
-        SolveOptions::default().with_nrhs(3),
-    ] {
-        recorder.clear();
-        let b = vec![1.0; s.n() * opts.nrhs];
-        solver.solve_with(&s, &b, &opts).unwrap();
-        let spans = recorder.snapshot();
-        for phase in [Phase::Gather, Phase::Chain] {
-            assert!(
-                spans.iter().any(|e| e.phase == phase),
-                "{opts:?} recorded no {phase:?} span"
-            );
+    for threads in [1, 4] {
+        let mut solver = ParallelSolver::new(threads, Schedule::Guided { min_chunk: 1 });
+        solver.set_trace_recorder(Some(Arc::clone(&recorder)));
+        let bwd = SolveOptions::default().with_direction(SweepDirection::Transpose);
+        for opts in [bwd, bwd.with_nrhs(3), SolveOptions::default().with_nrhs(3)] {
+            recorder.clear();
+            let b = vec![1.0; s.n() * opts.nrhs];
+            solver.solve_with(&s, &b, &opts).unwrap();
+            let spans = recorder.snapshot();
+            for phase in [Phase::Gather, Phase::Chain] {
+                assert!(
+                    spans.iter().any(|e| e.phase == phase),
+                    "{opts:?} on {threads} threads recorded no {phase:?} span"
+                );
+            }
         }
     }
 }
